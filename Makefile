@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-cold test bench-smoke
+.PHONY: check lint lint-cold test bench bench-smoke
 
 check: test lint
 
@@ -18,6 +18,9 @@ lint-cold:  ## full re-analysis, ignoring and not writing the cache
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+bench:  ## the end-to-end benchmark: all five workloads, ~15 s each
+	python3 benchmarks/e2e/run.py
 
 bench-smoke:
 	$(PYTHON) -m pytest -q -m bench_smoke

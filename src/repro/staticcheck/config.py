@@ -22,11 +22,11 @@ attributes each module owns, the event-publishing classes -- lives in
     event-classes = ["AllocationEngine"]
 
     [[tool.reprolint.r006.grammar]]
-    name = "shard-ops"
-    emit-functions = ["repro.webcompute.sharding._ShardClient._op"]
-    handle-functions = ["repro.webcompute.shardworker._apply_live_op"]
-    replay-functions = ["repro.webcompute.recovery.apply_op"]
-    pure-tags = ["validate_register"]
+    name = "ops"
+    emit-functions = ["pkg.router.Router._journal"]
+    handle-functions = ["pkg.worker.apply_live"]
+    replay-functions = ["pkg.replay.apply_op"]
+    pure-tags = ["probe"]
 
     [tool.reprolint.per-module]
     "repro.core.spread" = { disable = ["R001"] }

@@ -135,23 +135,20 @@ def module_imports(tree: ast.Module, module_name: str) -> list[tuple[str, int]]:
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Every ``.py`` file under *paths* (files pass through, directories
-    are walked), sorted for deterministic output; hidden directories and
-    ``__pycache__`` are skipped."""
+    are walked), sorted for deterministic output.  Hidden directories and
+    ``__pycache__`` are skipped *below* each walked directory only, so a
+    project checked out under a hidden directory is still analysed."""
     seen: set[Path] = set()
     for entry in paths:
         entry = Path(entry)
         if entry.is_file():
-            candidates: Iterable[Path] = [entry] if entry.suffix == ".py" else []
-        else:
-            candidates = entry.rglob("*.py")
-        for candidate in candidates:
-            resolved = candidate.resolve()
-            if resolved in seen:
-                continue
-            if any(
+            if entry.suffix == ".py":
+                seen.add(entry.resolve())
+            continue
+        for candidate in entry.rglob("*.py"):
+            if not any(
                 part.startswith(".") or part == "__pycache__"
-                for part in resolved.parts
+                for part in candidate.relative_to(entry).parts
             ):
-                continue
-            seen.add(resolved)
+                seen.add(candidate.resolve())
     yield from sorted(seen)

@@ -510,7 +510,8 @@ def _git_changed_files() -> frozenset[str]:
 
 def run_cli(argv: Sequence[str] | None = None, stream: TextIO | None = None) -> int:
     out = stream if stream is not None else sys.stdout
-    args = build_parser().parse_args(list(argv) if argv is not None else None)
+    parser = build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
     if args.list_rules:
         for checker in ALL_CHECKERS:
             print(f"{checker.code}  {checker.name}: {checker.summary}", file=out)
@@ -543,6 +544,15 @@ def run_cli(argv: Sequence[str] | None = None, stream: TextIO | None = None) -> 
         )
     except (ConfigError, ValueError, OSError) as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
+        return 2
+    if result.files == 0:
+        # Paths that name no Python file are a usage error: a clean
+        # report over nothing would pass a gate without checking anything.
+        parser.print_usage(sys.stderr)
+        print(
+            f"reprolint: error: no Python files under {' '.join(map(str, args.paths))}",
+            file=sys.stderr,
+        )
         return 2
     if args.json:
         print(render_json(result), file=out)

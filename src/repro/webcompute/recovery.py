@@ -27,7 +27,8 @@ engine's determinism:
   bit-for-bit -- same task indices, same strikes, same bans.
 * :func:`replay` applies a journal to a restored engine and returns the
   op count; :func:`apply_op` is the single-op dispatcher (also the
-  documentation of the journal grammar).
+  documentation of the journal grammar), shared with the shard hosts'
+  live path so live application and replay cannot drift apart.
 
 Ops are journaled *after* the engine call succeeds ("journal-after-
 success"): every mutating engine method validates before mutating, so a
@@ -182,10 +183,10 @@ class CheckpointStore:
 
     def checkpoint_state(self, state: dict[str, Any]) -> ShardCheckpoint:
         """Store an already-captured engine snapshot as the new base and
-        truncate segments and journal.  The seam the parallel router uses:
-        the engine lives in a worker process, so the parent receives the
-        snapshot dict over the pipe and checkpoints *that* rather than a
-        live engine."""
+        truncate segments and journal.  The seam the sharded router uses:
+        the engine may live in another process, so the router receives
+        the snapshot dict from the shard's host and checkpoints *that*
+        rather than a live engine."""
         issued = len(state["ledger"]["tasks"])
         self._base = json.dumps(state, sort_keys=True)
         self._base_tick = state["clock"]
@@ -295,8 +296,11 @@ class CheckpointStore:
         return [json.loads(entry) for entry in self._journal]
 
 
-def apply_op(engine: AllocationEngine, op: list[Any]) -> None:
-    """Apply one journaled op to *engine*.  The journal grammar::
+def apply_op(engine: AllocationEngine, op: list[Any]) -> Any:
+    """Apply one op to *engine* and return what the engine call returned
+    (a list, one entry per item, for the bulk tags).  The one op
+    dispatcher: shard hosts apply live ops through it and :func:`replay`
+    applies journaled ones, ignoring the results.  The journal grammar::
 
         ["tick"]
         ["register", [profile_state, ...], [volunteer_id, ...]]
@@ -312,43 +316,54 @@ def apply_op(engine: AllocationEngine, op: list[Any]) -> None:
     journals: one entry per shard per batch instead of one per call, with
     only the calls that *succeeded* (journal-after-success is per item).
     Replaying a bulk op is defined as replaying its singular ops in order,
-    so a bulk journal restores the same state as the singular journal the
-    serial router would have written.
+    so a bulk journal restores the same state as the singular journal.
+
+    Two live-only tags are never journaled, because they change no
+    state: ``["validate_register", [profile_state, ...], [volunteer_id,
+    ...]]`` (the round check that precedes a journaled ``register``) and
+    ``["attribute_many", [task_index, ...]]``.
 
     Replay is deterministic because every op carries the ids the original
     call resolved and the engine's only RNG rides in the checkpoint.
     """
     kind = op[0]
     if kind == "tick":
-        engine.tick()
-    elif kind == "register":
+        return engine.tick()
+    if kind == "register":
         profiles = [VolunteerProfile.from_state(p) for p in op[1]]
-        engine.register_round(profiles, ids=list(op[2]))
-    elif kind == "depart":
-        engine.depart(op[1])
-    elif kind == "request":
-        engine.request_task(op[1])
-    elif kind == "requests":
-        for vid in op[1]:
-            engine.request_task(vid)
-    elif kind == "submit":
-        engine.submit_result(op[1], op[2], op[3])
-    elif kind == "submits":
-        for vid, task_index, result in op[1]:
+        return engine.register_round(profiles, ids=list(op[2]))
+    if kind == "validate_register":
+        profiles = [VolunteerProfile.from_state(p) for p in op[1]]
+        return engine.validate_round(profiles, ids=list(op[2]))
+    if kind == "depart":
+        return engine.depart(op[1])
+    if kind == "request":
+        return engine.request_task(op[1])
+    if kind == "requests":
+        return [engine.request_task(vid) for vid in op[1]]
+    if kind == "submit":
+        return engine.submit_result(op[1], op[2], op[3])
+    if kind == "submits":
+        return [
             engine.submit_result(vid, task_index, result)
-    elif kind == "reap":
-        engine.reap_expired()
-    elif kind == "corrupt":
-        engine.mark_corrupted(op[1], op[2])
-    else:
-        raise RecoveryError(f"unknown journal op {kind!r}")
+            for vid, task_index, result in op[1]
+        ]
+    if kind == "reap":
+        return engine.reap_expired()
+    if kind == "corrupt":
+        return engine.mark_corrupted(op[1], op[2])
+    if kind == "attribute_many":
+        return [engine.attribute(index) for index in op[1]]
+    raise RecoveryError(f"unknown journal op {kind!r}")
 
 
-def replay(engine: AllocationEngine, ops: list[list[Any]]) -> int:
+def replay(engine: AllocationEngine, ops: list[list[Any]], first: int = 0) -> int:
     """Apply *ops* in order; returns the number replayed.  Any engine
     rejection during replay means the journal diverged from the
-    checkpoint -- recovery must fail loudly, not half-restore."""
-    for i, op in enumerate(ops):
+    checkpoint -- recovery must fail loudly, not half-restore.  *first*
+    is the journal position of ``ops[0]``, so a restore replaying the
+    journal in chunks still names the diverging op's place in it."""
+    for i, op in enumerate(ops, first):
         try:
             apply_op(engine, op)
         except Exception as exc:

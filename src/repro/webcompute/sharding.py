@@ -62,18 +62,24 @@ emits while replaying history are not re-published (the bus tap attaches
 only at the end) -- including the ``VolunteerRegistered`` events of
 rounds buffered during the restore window.
 
-Execution modes: with ``workers=None`` (the default) every engine runs
-in-process and the server behaves bit-identically to the pre-parallel
-implementation -- same journals, same events, same RNG streams.  With
-``workers=W`` the engines live in ``min(W, S)`` worker processes
-(:mod:`~repro.webcompute.shardworker`); the router ships each journaled
-op over a pipe to the shard's host process, re-publishes the events the
-worker's engines emitted onto the global bus, and keeps hot-path reads
-(``is_banned``, ``profile_of``) on parent-side mirrors maintained from
-that event stream.  Batched entry points
+Execution modes: the router drives every shard through one host
+protocol (:mod:`~repro.webcompute.shardworker`), and the mode only picks
+the host.  With ``workers=None`` (the default) one in-process host holds
+every shard; with ``workers=W`` the shards spread over ``min(W, S)``
+worker-process hosts.  Both hosts run the same message handler, so ops
+(through :func:`~repro.webcompute.recovery.apply_op`, the dispatcher
+journal replay uses too), journals, restores and events are the same in
+both modes by construction.  An in-process shard's engine slot holds
+the engine itself, so singular calls are direct method calls; a
+process-hosted shard's slot holds a proxy that ships each call as one
+op.  Events of in-process engines reach the global bus synchronously;
+a process host ships them back with each reply and the router
+re-publishes them.  The hot-path reads (``is_banned``, ``profile_of``)
+come from a router-side mirror kept from the event stream in both
+modes.  Batched entry points
 (:meth:`ShardedWBCServer.request_tasks`,
 :meth:`ShardedWBCServer.submit_results`,
-:meth:`ShardedWBCServer.attribute_many`) fan one message out per worker
+:meth:`ShardedWBCServer.attribute_many`) fan one message out per host
 and overlap the shards' work -- the amortization that turns sharding
 from routing overhead into actual parallelism.  A worker process dying
 is mapped onto the same ``crash_shard``/``restore_shard`` discipline as
@@ -98,7 +104,7 @@ from repro.errors import (
     ShardDownError,
 )
 from repro.webcompute.codecs import composer_for
-from repro.webcompute.engine import AllocationEngine, IndexCodec
+from repro.webcompute.engine import AllocationEngine
 from repro.webcompute.events import (
     CheckpointTaken,
     EventBus,
@@ -108,8 +114,8 @@ from repro.webcompute.events import (
     VolunteerBanned,
 )
 from repro.webcompute.ledger import LedgerReport
-from repro.webcompute.recovery import CheckpointStore, apply_op
-from repro.webcompute.shardworker import EngineSpec, WorkerHandle, shard_codec
+from repro.webcompute.recovery import CheckpointStore
+from repro.webcompute.shardworker import EngineSpec, InProcessHost, WorkerHandle
 from repro.webcompute.task import Task
 from repro.webcompute.volunteer import VolunteerProfile
 
@@ -120,6 +126,9 @@ __all__ = [
     "AttributionPath",
     "ShardedWBCServer",
 ]
+
+#: Either kind of shard host; both speak the :mod:`shardworker` protocol.
+_Host = InProcessHost | WorkerHandle
 
 
 class ShardPolicy:
@@ -222,14 +231,13 @@ class _DeadShard:
 
 
 class _RestoreSession:
-    """Book-keeping for one shard's in-flight streaming restore: the
-    rebuilding engine (in serial mode; worker mode keeps it worker-side),
-    the replay queue of ``("delta", segment)`` / ``("op", op)`` items, and
-    the audit counters the finish step checks."""
+    """Book-keeping for one shard's in-flight streaming restore (the
+    rebuilding engine itself lives in the shard's host): the replay queue
+    of ``("delta", segment)`` / ``("op", op)`` items, and the audit
+    counters the finish step checks."""
 
     __slots__ = (
         "shard",
-        "engine",
         "queue",
         "checkpoint_tick",
         "base_issued",
@@ -238,15 +246,8 @@ class _RestoreSession:
         "accepted",
     )
 
-    def __init__(
-        self,
-        shard: int,
-        engine: AllocationEngine | None,
-        checkpoint_tick: int,
-        base_issued: int,
-    ) -> None:
+    def __init__(self, shard: int, checkpoint_tick: int, base_issued: int) -> None:
         self.shard = shard
-        self.engine = engine
         self.queue: deque = deque()
         self.checkpoint_tick = checkpoint_tick
         self.base_issued = base_issued
@@ -323,17 +324,19 @@ class _RestoringShard:
         )
 
 
-class _WorkerMirror:
-    """Parent-side read models of worker-hosted engine state.
+class _Mirror:
+    """Router-side read models of the hosted engines' state.
 
-    The authoritative state lives in the worker processes; the router
-    keeps just enough of a mirror to answer the hot-path reads
-    (``is_banned``, ``profile_of``) without a pipe round trip.  The ban
-    set is maintained the way R005 wants every observer to work --
-    from the published event stream (``VolunteerBanned`` events shipped
-    back with each reply); profiles are recorded at the two points the
-    router already holds the authoritative object (registration commit
-    and ``mark_corrupted``'s return value).
+    The authoritative state lives in the engines; the router keeps just
+    enough of a mirror to answer the hot-path reads (``is_banned``,
+    ``profile_of``) without a host round trip, the same way for either
+    host.  The ban set is maintained the way R005 wants every observer
+    to work -- from the published event stream (``VolunteerBanned``,
+    forwarded or shipped back with each reply); profiles are recorded at
+    the two points the router already holds the authoritative object
+    (registration commit and ``mark_corrupted``'s return value).  Both
+    stay exact: an engine keeps a departed volunteer's profile, and bans
+    are permanent.
     """
 
     __slots__ = ("profiles", "banned")
@@ -364,21 +367,6 @@ class _RemoteFrontend:
     def row_of(self, volunteer_id: int) -> int:
         return self._shard._call("row_of", volunteer_id)
 
-    def volunteer_for(self, row: int, serial: int) -> int:
-        return self._shard._call("volunteer_for", row, serial)
-
-
-class _RemoteAllocator:
-    """Read-only allocator facade of a worker-hosted engine."""
-
-    __slots__ = ("_shard",)
-
-    def __init__(self, shard: "_RemoteShard") -> None:
-        self._shard = shard
-
-    def attribute(self, local_index: int) -> tuple[int, int]:
-        row, serial = self._shard._call("allocator_attribute", local_index)
-        return row, serial
 
 
 class _RemoteLedger:
@@ -394,13 +382,12 @@ class _RemoteLedger:
 
 
 class _RemoteShard:
-    """The engine slot's occupant in worker mode: a transparent stand-in
-    for an :class:`~repro.webcompute.engine.AllocationEngine` living in a
-    worker process.  Mutating methods ship the corresponding journal-
-    grammar op; reads go through the query whitelist.  The server's
+    """The engine slot's occupant for a shard on a process host: a
+    stand-in for an :class:`~repro.webcompute.engine.AllocationEngine`
+    living in a worker process.  Mutating methods ship the corresponding
+    op; reads go through the host's query whitelist.  The server's
     routing/journaling method bodies run unchanged against either a real
-    engine or this proxy -- that is what keeps serial mode bit-identical
-    while sharing one code path."""
+    engine or this proxy."""
 
     __slots__ = ("_server", "shard")
 
@@ -411,10 +398,13 @@ class _RemoteShard:
     # -- plumbing ------------------------------------------------------
 
     def _op(self, op: list):
-        return self._server._worker_op(self.shard, op)
+        [(ok, value)] = self._server._scatter({self.shard: [op]})[self.shard]
+        if not ok:
+            raise value
+        return value
 
     def _call(self, name: str, *args):
-        return self._server._worker_call(self.shard, name, args)
+        return self._server._request(self.shard, ("call", self.shard, name, args))
 
     # -- engine surface ------------------------------------------------
 
@@ -441,10 +431,6 @@ class _RemoteShard:
     @property
     def frontend(self) -> _RemoteFrontend:
         return _RemoteFrontend(self)
-
-    @property
-    def allocator(self) -> _RemoteAllocator:
-        return _RemoteAllocator(self)
 
     @property
     def ledger(self) -> _RemoteLedger:
@@ -477,12 +463,6 @@ class _RemoteShard:
 
     def mark_corrupted(self, volunteer_id: int, error_rate: float) -> VolunteerProfile:
         return self._op(["corrupt", volunteer_id, error_rate])
-
-    def is_banned(self, volunteer_id: int) -> bool:
-        return self._call("is_banned", volunteer_id)
-
-    def profile_of(self, volunteer_id: int) -> VolunteerProfile:
-        return self._call("profile_of", volunteer_id)
 
     def attribute(self, task_index: int) -> int:
         return self._call("attribute", task_index)
@@ -561,10 +541,10 @@ class ShardedWBCServer:
         next checkpoint compacts the log back into a full base snapshot
         (``None`` = never compact automatically).
     workers:
-        ``None`` (the default) runs every engine in-process,
-        bit-identical to the pre-parallel server.  A positive int runs
-        the engines in ``min(workers, shards)`` worker processes; call
-        :meth:`close` (or use the server as a context manager) when done.
+        ``None`` (the default) hosts every engine in-process.  A
+        positive int hosts the engines in ``min(workers, shards)``
+        worker processes; call :meth:`close` (or use the server as a
+        context manager) when done.
     """
 
     def __init__(
@@ -623,50 +603,27 @@ class ShardedWBCServer:
         self._stores: list[CheckpointStore] = []
         self._alive: list[bool] = []
         self._restoring: dict[int, _RestoreSession] = {}
-        self._workers: list[WorkerHandle] | None = None
-        self._mirror = _WorkerMirror()
-        if workers is None:
-            for shard in range(shards):
-                engine = self._fresh_engine(shard)
-                engine.bus.forward_to(self.bus, shard=shard)
-                self.engines.append(engine)
-                store = CheckpointStore(compact_every=compact_every)
-                store.checkpoint(engine)
-                self._stores.append(store)
-                self._alive.append(True)
-        else:
-            self.bus.subscribe(self._mirror.observe, (VolunteerBanned,))
-            count = min(workers, shards)
-            specs: list[dict[int, EngineSpec]] = [{} for _ in range(count)]
-            for shard in range(shards):
-                specs[shard % count][shard] = self._spec_for(shard)
-            self._workers = [WorkerHandle(spec) for spec in specs]
-            for shard in range(shards):
-                proxy = _RemoteShard(self, shard)
-                self.engines.append(proxy)  # type: ignore[arg-type]
-                self._alive.append(True)
-                store = CheckpointStore(compact_every=compact_every)
-                self._stores.append(store)
-                store.checkpoint_state(proxy.snapshot_state())
+        self._mirror = _Mirror()
+        self.bus.subscribe(self._mirror.observe, (VolunteerBanned,))
+        self._workers = None if workers is None else min(workers, shards)
+        layout: list[dict[int, EngineSpec]] = [{} for _ in range(self._workers or 1)]
+        for shard in range(shards):
+            layout[shard % len(layout)][shard] = self._spec_for(shard)
+        self._hosts = [self._new_host(specs) for specs in layout]
+        for shard in range(shards):
+            engine = self._live_slot(shard)
+            self.engines.append(engine)
+            self._alive.append(True)
+            store = CheckpointStore(compact_every=compact_every)
+            self._stores.append(store)
+            store.checkpoint_state(engine.snapshot_state())
         self._shard_of: dict[int, int] = {}
         self._next_volunteer_id = 1
         self._registrations = 0
 
-    def _fresh_engine(self, shard: int) -> AllocationEngine:
-        """A blank engine wired for *shard* (construction and recovery
-        both start here; recovery then restores state into it)."""
-        return AllocationEngine(
-            self._apf,
-            verification_rate=self._verification_rate,
-            ban_after_strikes=self._ban_after_strikes,
-            seed=self._seed + shard,
-            codec=self._codec_for(shard),
-            lease_ticks=self.lease_ticks,
-        )
-
     def _spec_for(self, shard: int) -> EngineSpec:
-        """The picklable recipe a worker process rebuilds this shard's
-        engine from; must stay in lockstep with :meth:`_fresh_engine`."""
+        """The picklable recipe every host builds this shard's engine
+        from, at construction and on restore."""
         return EngineSpec(
             apf=self._apf,
             composer=self.composer,
@@ -677,37 +634,43 @@ class ShardedWBCServer:
             lease_ticks=self.lease_ticks,
         )
 
-    def _codec_for(self, shard: int) -> IndexCodec:
-        """The shard's slice of the global index space: rows ``shard + 1``
-        of the composer (1-indexed, like everything in the paper).  Built
-        by :func:`~repro.webcompute.shardworker.shard_codec` -- the same
-        constructor the worker processes use, so both modes share one
-        bijection definition."""
-        return shard_codec(self.composer, shard)
+    def _new_host(self, specs: dict[int, EngineSpec]) -> _Host:
+        """Start a host for the shards in *specs*: the one place the
+        execution mode is chosen.  Serial mode runs a single in-process
+        host holding every shard; worker mode one process per host."""
+        if self._workers is None:
+            return InProcessHost(specs, self.bus)
+        return WorkerHandle(specs)
 
-    # -- worker-mode plumbing ------------------------------------------
+    def _live_slot(self, shard: int) -> AllocationEngine:
+        """What a live shard's engine slot holds, as its host decides:
+        the engine itself in-process, a :class:`_RemoteShard` otherwise."""
+        return self._host_for(shard).slot(shard, _RemoteShard(self, shard))
+
+    # -- host plumbing -------------------------------------------------
 
     @property
     def workers(self) -> int | None:
         """Worker-process count, or ``None`` in serial mode."""
-        return None if self._workers is None else len(self._workers)
+        return self._workers
 
-    def _handle_for(self, shard: int) -> WorkerHandle:
-        return self._workers[shard % len(self._workers)]
+    def _host_for(self, shard: int) -> _Host:
+        return self._hosts[shard % len(self._hosts)]
 
-    def _hosted_by(self, worker_index: int) -> list[int]:
-        """The shards hosted by worker *worker_index*."""
-        count = len(self._workers)
-        return [s for s in range(len(self.engines)) if s % count == worker_index]
+    def _hosted_by(self, host_index: int) -> list[int]:
+        """The shards hosted by host *host_index*."""
+        count = len(self._hosts)
+        return [s for s in range(len(self.engines)) if s % count == host_index]
 
-    def _mark_worker_dead(self, handle: WorkerHandle) -> ShardDownError:
-        """A worker process died: every live shard it hosted is now
-        crashed (their in-memory engines are genuinely gone), exactly as
-        if :meth:`crash_shard` had been called on each.  Returns the
-        transient error for the caller to raise or swallow."""
+    def _mark_host_dead(self, handle: _Host) -> ShardDownError:
+        """A host's worker process died: every live shard it hosted is
+        now crashed (their in-memory engines are genuinely gone), exactly
+        as if :meth:`crash_shard` had been called on each.  Returns the
+        transient error for the caller to raise or swallow.  (Only
+        process hosts die.)"""
         downed: list[int] = []
-        if handle in self._workers:
-            for shard in self._hosted_by(self._workers.index(handle)):
+        if handle in self._hosts:
+            for shard in self._hosted_by(self._hosts.index(handle)):
                 if self._alive[shard]:
                     pending = self._stores[shard].pending_ops
                     self.engines[shard] = _DeadShard(shard)  # type: ignore[assignment]
@@ -737,74 +700,69 @@ class ShardedWBCServer:
         )
 
     def _republish(self, events: list) -> None:
-        """Deliver worker-side engine events to the global bus, in the
-        order the worker recorded them (ticks were stamped by the
-        worker's bus at publish time; the shard tag is stamped here)."""
+        """Deliver events a host shipped back to the global bus, in the
+        order the host recorded them (ticks were stamped by the engine's
+        bus at publish time; the shard tag is stamped here)."""
         for shard, event in events:
             self.bus.republish(event, shard=shard)
 
-    def _worker_op(self, shard: int, op: list):
-        """Ship one journal-grammar op to *shard*'s host worker; returns
-        the engine method's result or raises what it raised."""
-        handle = self._handle_for(shard)
+    def _request(self, shard: int, message: tuple):
+        """One round trip to *shard*'s host: re-publishes the events the
+        reply carries and returns its payload, or raises the error it
+        reports (or the transient error a dead host's process leaves)."""
+        handle = self._host_for(shard)
         try:
-            status, payload, events = handle.request(("ops", [(shard, [op])]))
+            status, payload, events = handle.request(message)
         except ShardDownError:
-            raise self._mark_worker_dead(handle) from None
-        self._republish(events)
-        if status == "err":
-            raise payload
-        [(_shard, [(ok, value)])] = payload
-        if not ok:
-            raise value
-        return value
-
-    def _worker_call(self, shard: int, name: str, args: tuple):
-        """One read-only query against *shard*'s worker-hosted engine."""
-        handle = self._handle_for(shard)
-        try:
-            status, payload, events = handle.request(("call", shard, name, args))
-        except ShardDownError:
-            raise self._mark_worker_dead(handle) from None
+            raise self._mark_host_dead(handle) from None
         self._republish(events)
         if status == "err":
             raise payload
         return payload
 
-    def _fanout(self, groups: dict[WorkerHandle, list[tuple[int, list]]]) -> dict:
-        """Ship one ``ops`` batch to every worker in *groups* before
-        collecting any reply -- the overlap that lets the worker
-        processes crunch their shards concurrently.  Returns, per handle,
-        either the ops payload (``list[(shard, [(ok, value), ...])]``) or
-        the :class:`~repro.errors.ShardDownError` if that worker died."""
-        started: list[WorkerHandle] = []
-        replies: dict[WorkerHandle, object] = {}
-        for handle, shard_ops in groups.items():
+    def _scatter(self, shard_ops: dict[int, list[list]]) -> dict[int, list]:
+        """Apply each shard's ops on its host: one ``ops`` message per
+        host, all sent before any reply is collected -- the overlap that
+        lets worker processes crunch their shards concurrently.  Returns
+        each shard's per-op ``(ok, result-or-exception)`` outcomes; every
+        op sent to a host whose process died fails with the transient
+        :class:`~repro.errors.ShardDownError`."""
+        groups: dict[_Host, list[tuple[int, list]]] = {}
+        for shard, ops in shard_ops.items():
+            groups.setdefault(self._host_for(shard), []).append((shard, ops))
+        outcomes: dict[int, list] = {}
+
+        def fail(handle: _Host, exc: Exception) -> None:
+            for shard, ops in groups[handle]:
+                outcomes[shard] = [(False, exc)] * len(ops)
+
+        started: list[_Host] = []
+        for handle, batch in groups.items():
             try:
-                handle.start(("ops", shard_ops))
+                handle.start(("ops", batch))
                 started.append(handle)
             except ShardDownError:
-                replies[handle] = self._mark_worker_dead(handle)
+                fail(handle, self._mark_host_dead(handle))
         for handle in started:
             try:
                 status, payload, events = handle.finish()
             except ShardDownError:
-                replies[handle] = self._mark_worker_dead(handle)
+                fail(handle, self._mark_host_dead(handle))
                 continue
             self._republish(events)
-            # "err" payloads are exception instances, so the caller's
-            # isinstance(reply, Exception) check covers them uniformly.
-            replies[handle] = payload
-        return replies
+            if status == "err":
+                fail(handle, payload)
+            else:
+                outcomes.update(payload)
+        return outcomes
 
     def close(self) -> None:
-        """Shut down the worker processes (no-op in serial mode).  The
-        server object stays readable afterwards only in serial mode;
+        """Shut down the worker processes (an in-process host has none).
+        The server object stays readable afterwards only in serial mode;
         worker-mode traffic after ``close`` fails with
         :class:`~repro.errors.ShardDownError`."""
-        if self._workers is not None:
-            for handle in self._workers:
-                handle.close()
+        for handle in self._hosts:
+            handle.close()
 
     def __enter__(self) -> "ShardedWBCServer":
         return self
@@ -834,25 +792,14 @@ class ShardedWBCServer:
         """Advance every live shard's clock in lockstep.  The tick is
         journaled to *every* store -- including crashed shards', so a
         restore replays the downtime ticks and rejoins the global clock.
-        In worker mode the ticks fan out as one batch per worker; a
-        worker found dead here simply leaves its shards crashed (their
-        journals already hold the tick, so restore rejoins the clock).
+        The ticks fan out as one batch per host; a worker found dead here
+        simply leaves its shards crashed (their journals already hold the
+        tick, so restore rejoins the clock).
         """
         self._clock += 1
-        if self._workers is None:
-            for shard, engine in enumerate(self.engines):
-                self._journal(shard, ["tick"])
-                if self._alive[shard]:
-                    engine.tick()
-        else:
-            for shard in range(len(self.engines)):
-                self._journal(shard, ["tick"])
-            groups: dict[WorkerHandle, list[tuple[int, list]]] = {}
-            for shard in self.alive_shards():
-                groups.setdefault(self._handle_for(shard), []).append(
-                    (shard, [["tick"]])
-                )
-            self._fanout(groups)
+        for shard in range(len(self.engines)):
+            self._journal(shard, ["tick"])
+        self._scatter({shard: [["tick"]] for shard in self.alive_shards()})
         if (
             self.checkpoint_every is not None
             and self._clock % self.checkpoint_every == 0
@@ -938,9 +885,9 @@ class ShardedWBCServer:
         checkpoint (and every one after ``compact_every`` delta segments
         accumulate, or when ``full=True``) stores the complete engine
         snapshot as a fresh base; otherwise an incremental delta since the
-        log's newest covered tick is appended.  One code path for both
-        modes: the snapshot/delta dict is pulled from the engine --
-        in-process or over the worker pipe -- and stored."""
+        log's newest covered tick is appended.  The snapshot/delta dict
+        is pulled from the engine -- in-process or over the worker pipe
+        -- and stored."""
         self._check_shard(shard)
         if not self._alive[shard]:
             raise ShardDownError(f"cannot checkpoint crashed shard {shard}")
@@ -978,16 +925,7 @@ class ShardedWBCServer:
         pending = self._stores[shard].pending_ops
         self.engines[shard] = _DeadShard(shard)  # type: ignore[assignment]
         self._alive[shard] = False
-        if self._workers is not None:
-            # Make the worker drop its live engine too: the in-memory
-            # state must be genuinely lost, exactly like a process death.
-            handle = self._handle_for(shard)
-            if handle.alive:
-                try:
-                    _status, _payload, events = handle.request(("drop", shard))
-                    self._republish(events)
-                except ShardDownError:
-                    self._mark_worker_dead(handle)
+        self._drop(shard)
         self.bus.publish(
             ShardCrashed(tick=self._clock, shard=shard, pending_ops=pending)
         )
@@ -1006,9 +944,8 @@ class ShardedWBCServer:
 
     def begin_restore(self, shard: int) -> None:
         """Start a *streaming* restore of a crashed shard: restore the
-        base checkpoint into a fresh engine (in-process or worker-side),
-        queue the log's delta segments and journaled ops for replay, and
-        install the ``RESTORING`` sentinel -- the shard immediately
+        base checkpoint into a fresh engine in the shard's host, queue
+        the log's delta segments and journaled ops for replay, and install the ``RESTORING`` sentinel -- the shard immediately
         serves registrations (buffered onto the replay queue) while
         everything else keeps failing with the transient
         :class:`~repro.errors.ShardDownError`.  Drive the replay with
@@ -1020,25 +957,17 @@ class ShardedWBCServer:
             raise RecoveryError(f"shard {shard} is already restoring")
         store = self._stores[shard]
         base = store.base_state()
-        if self._workers is None:
-            engine = self._fresh_engine(shard)
-            engine.restore_state(base)
-        else:
-            worker_index = shard % len(self._workers)
-            handle = self._workers[worker_index]
-            if not handle.alive:
-                # Respawn empty: the other shards this worker hosted are
-                # down too (marked when the process died) and will be
-                # restored into the fresh process by their own restores.
-                handle = WorkerHandle({})
-                self._workers[worker_index] = handle
-            self._restore_request(
-                shard, ("restore_begin", shard, self._spec_for(shard), base)
-            )
-            engine = None
+        host_index = shard % len(self._hosts)
+        if not self._hosts[host_index].alive:
+            # Respawn empty: the other shards this process hosted are
+            # down too (marked when it died) and will be restored into
+            # the fresh process by their own restores.
+            self._hosts[host_index] = self._new_host({})
+        self._restore_request(
+            shard, ("restore_begin", shard, self._spec_for(shard), base)
+        )
         session = _RestoreSession(
             shard=shard,
-            engine=engine,
             checkpoint_tick=store.checkpoint_tick,
             base_issued=store.checkpoint_issued,
         )
@@ -1071,35 +1000,18 @@ class ShardedWBCServer:
         if session is None:
             raise RecoveryError(f"shard {shard} is not restoring")
         budget = len(session.queue) if max_items is None else max_items
-        try:
-            if self._workers is None:
-                while budget > 0 and session.queue:
-                    kind, item = session.queue.popleft()
-                    if kind == "delta":
-                        session.engine.apply_delta(item)
-                    else:
-                        try:
-                            apply_op(session.engine, item)
-                        except Exception as exc:
-                            raise RecoveryError(
-                                f"journal replay diverged at op "
-                                f"{session.replayed_ops} ({item[0]!r}): {exc}"
-                            ) from exc
-                        session.replayed_ops += 1
-                    budget -= 1
-            else:
-                chunk = []
-                while budget > 0 and session.queue:
-                    chunk.append(session.queue.popleft())
-                    budget -= 1
-                if chunk:
-                    self._restore_request(shard, ("restore_apply", shard, chunk))
-                    session.replayed_ops += sum(
-                        1 for kind, _item in chunk if kind == "op"
-                    )
-        except Exception:
-            self._abort_restore(shard)
-            raise
+        chunk = []
+        while budget > 0 and session.queue:
+            chunk.append(session.queue.popleft())
+            budget -= 1
+        if chunk:
+            try:
+                session.replayed_ops = self._restore_request(
+                    shard, ("restore_apply", shard, chunk, session.replayed_ops)
+                )
+            except Exception:
+                self._abort_restore(shard)
+                raise
         if session.queue:
             return False
         self._finish_restore(shard)
@@ -1108,16 +1020,11 @@ class ShardedWBCServer:
     def _finish_restore(self, shard: int) -> None:
         """The replay queue drained: audit the rebuilt engine (issued
         exactly ``base + #request ops``; clock rejoined the global clock)
-        and swap it into the engine slot, re-attaching event forwarding."""
+        and swap it into the engine slot (the host attaches its event
+        hook as it promotes the engine)."""
         session = self._restoring[shard]
         try:
-            if self._workers is None:
-                issued = session.engine.ledger.tasks_issued_count()
-                clock = session.engine.clock
-            else:
-                issued, clock = self._restore_request(
-                    shard, ("restore_finish", shard)
-                )
+            issued, clock = self._restore_request(shard, ("restore_finish", shard))
             expected = session.base_issued + session.request_ops
             if issued != expected:
                 raise RecoveryError(
@@ -1134,11 +1041,7 @@ class ShardedWBCServer:
             self._abort_restore(shard)
             raise
         self._restoring.pop(shard)
-        if self._workers is None:
-            session.engine.bus.forward_to(self.bus, shard=shard)
-            self.engines[shard] = session.engine
-        else:
-            self.engines[shard] = _RemoteShard(self, shard)  # type: ignore[assignment]
+        self.engines[shard] = self._live_slot(shard)
         self._alive[shard] = True
         self.bus.publish(
             ShardRestored(
@@ -1158,28 +1061,25 @@ class ShardedWBCServer:
         fresh restore can start over)."""
         self._restoring.pop(shard, None)
         self.engines[shard] = _DeadShard(shard)  # type: ignore[assignment]
-        if self._workers is not None:
-            handle = self._handle_for(shard)
-            if handle.alive:
-                try:
-                    _status, _payload, events = handle.request(("drop", shard))
-                    self._republish(events)
-                except ShardDownError:
-                    self._mark_worker_dead(handle)
+        self._drop(shard)
+
+    def _drop(self, shard: int) -> None:
+        """Make *shard*'s host drop its engines: the in-memory state must
+        be genuinely lost, exactly like a process death."""
+        if self._host_for(shard).alive:
+            try:
+                self._request(shard, ("drop", shard))
+            except ShardDownError:
+                pass  # the process died: its shards are already marked down
 
     def _restore_request(self, shard: int, message: tuple):
-        """One restore-protocol message to *shard*'s host worker."""
-        handle = self._handle_for(shard)
+        """One restore-protocol message to *shard*'s host."""
         try:
-            status, payload, events = handle.request(message)
-        except ShardDownError:
+            return self._request(shard, message)
+        except ShardDownError as exc:
             raise RecoveryError(
                 f"worker process died while restoring shard {shard}"
-            ) from self._mark_worker_dead(handle)
-        self._republish(events)
-        if status == "err":
-            raise payload
-        return payload
+            ) from exc
 
     # ------------------------------------------------------------------
 
@@ -1252,10 +1152,9 @@ class ShardedWBCServer:
             for vid in ids:
                 self._shard_of.pop(vid, None)
             raise
-        if self._workers is not None:
-            for shard, (batch, batch_ids) in per_shard.items():
-                for vid, profile in zip(batch_ids, batch):
-                    self._mirror.note_profile(vid, profile)
+        for batch, batch_ids in per_shard.values():
+            for vid, profile in zip(batch_ids, batch):
+                self._mirror.note_profile(vid, profile)
         return ids
 
     def _rollback_round(
@@ -1306,8 +1205,7 @@ class ShardedWBCServer:
         shard = self.shard_of(volunteer_id)
         profile = self.engine_of(volunteer_id).mark_corrupted(volunteer_id, error_rate)
         self._journal(shard, ["corrupt", volunteer_id, error_rate])
-        if self._workers is not None:
-            self._mirror.note_profile(volunteer_id, profile)
+        self._mirror.note_profile(volunteer_id, profile)
         return profile
 
     def _engine_for_index(self, global_index: int) -> tuple[int, int, AllocationEngine]:
@@ -1346,25 +1244,15 @@ class ShardedWBCServer:
     #
     # One entry per input, in input order; per-item failures come back as
     # exception *instances* instead of raising, so one dead shard cannot
-    # abort the rest of the batch.  In serial mode each bulk call is
-    # exactly the loop of singular calls (same journal entries, same
-    # events, same RNG draws); in worker mode the batch fans out as one
-    # message per worker process and the successes are journaled with the
-    # bulk grammar ops (see repro.webcompute.recovery.apply_op).
+    # abort the rest of the batch.  The batch fans out as one message per
+    # host and the successes are journaled with the bulk grammar ops (see
+    # repro.webcompute.recovery.apply_op).
 
     def request_tasks(self, volunteer_ids: list[int]) -> list:
         """Bulk :meth:`request_task`: each entry is the issued
         :class:`~repro.webcompute.task.Task`, or the
         :class:`~repro.errors.AllocationError` /
         :class:`~repro.errors.ShardDownError` that id's request raised."""
-        if self._workers is None:
-            out: list = []
-            for vid in volunteer_ids:
-                try:
-                    out.append(self.request_task(vid))
-                except AllocationError as exc:
-                    out.append(exc)
-            return out
         results: list = [None] * len(volunteer_ids)
         entries: dict[int, list[tuple[int, int]]] = {}
         for pos, vid in enumerate(volunteer_ids):
@@ -1378,27 +1266,17 @@ class ShardedWBCServer:
                 )
             else:
                 entries.setdefault(shard, []).append((pos, vid))
-        groups: dict[WorkerHandle, list[tuple[int, list]]] = {}
+        outcomes = self._scatter(
+            {s: [["request", vid] for _pos, vid in pairs] for s, pairs in entries.items()}
+        )
         for shard, pairs in entries.items():
-            groups.setdefault(self._handle_for(shard), []).append(
-                (shard, [["request", vid] for _pos, vid in pairs])
-            )
-        replies = self._fanout(groups)
-        for handle, shard_ops in groups.items():
-            reply = replies[handle]
-            if isinstance(reply, Exception):
-                for shard, _ops in shard_ops:
-                    for pos, _vid in entries[shard]:
-                        results[pos] = reply
-                continue
-            for (shard, _ops), (_shard, op_results) in zip(shard_ops, reply):
-                ok_vids: list[int] = []
-                for (pos, vid), (ok, value) in zip(entries[shard], op_results):
-                    results[pos] = value
-                    if ok:
-                        ok_vids.append(vid)
-                if ok_vids:
-                    self._journal(shard, ["requests", ok_vids])
+            ok_vids: list[int] = []
+            for (pos, vid), (ok, value) in zip(pairs, outcomes[shard]):
+                results[pos] = value
+                if ok:
+                    ok_vids.append(vid)
+            if ok_vids:
+                self._journal(shard, ["requests", ok_vids])
         return results
 
     def submit_results(
@@ -1409,15 +1287,6 @@ class ShardedWBCServer:
         exception that triple's submission raised (a forged submission's
         :class:`~repro.errors.AllocationError`, a crashed shard's
         :class:`~repro.errors.ShardDownError`, ...)."""
-        if self._workers is None:
-            out: list = []
-            for vid, index, result in submissions:
-                try:
-                    self.submit_result(vid, index, result)
-                    out.append(None)
-                except ReproError as exc:
-                    out.append(exc)
-            return out
         results: list = [None] * len(submissions)
         entries: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
         for pos, (vid, index, result) in enumerate(submissions):
@@ -1427,63 +1296,39 @@ class ShardedWBCServer:
                 results[pos] = exc
                 continue
             entries.setdefault(shard, []).append((pos, (vid, index, result)))
-        groups: dict[WorkerHandle, list[tuple[int, list]]] = {}
+        outcomes = self._scatter(
+            {s: [["submit", *triple] for _pos, triple in items] for s, items in entries.items()}
+        )
         for shard, items in entries.items():
-            groups.setdefault(self._handle_for(shard), []).append(
-                (
-                    shard,
-                    [
-                        ["submit", vid, index, result]
-                        for _pos, (vid, index, result) in items
-                    ],
-                )
-            )
-        replies = self._fanout(groups)
-        for handle, shard_ops in groups.items():
-            reply = replies[handle]
-            if isinstance(reply, Exception):
-                for shard, _ops in shard_ops:
-                    for pos, _triple in entries[shard]:
-                        results[pos] = reply
-                continue
-            for (shard, _ops), (_shard, op_results) in zip(shard_ops, reply):
-                ok_triples: list[list[int]] = []
-                for (pos, triple), (ok, value) in zip(entries[shard], op_results):
-                    if ok:
-                        results[pos] = None
-                        ok_triples.append(list(triple))
-                    else:
-                        results[pos] = value
-                if ok_triples:
-                    self._journal(shard, ["submits", ok_triples])
+            ok_triples: list[list[int]] = []
+            for (pos, triple), (ok, value) in zip(items, outcomes[shard]):
+                results[pos] = value  # None on success
+                if ok:
+                    ok_triples.append(list(triple))
+            if ok_triples:
+                self._journal(shard, ["submits", ok_triples])
         return results
 
     def attribute_many(self, task_indices: list[int]) -> list[int]:
         """Bulk :meth:`attribute`, same contract (raises on any invalid
-        or down-shard index), batched one message per worker."""
-        if self._workers is None:
-            return [self.attribute(index) for index in task_indices]
+        or down-shard index), batched one message per host."""
         owners: list = [None] * len(task_indices)
         entries: dict[int, list[tuple[int, int]]] = {}
         for pos, index in enumerate(task_indices):
             shard, _local, _engine = self._engine_for_index(index)
             entries.setdefault(shard, []).append((pos, index))
-        groups: dict[WorkerHandle, list[tuple[int, list]]] = {}
+        outcomes = self._scatter(
+            {
+                s: [["attribute_many", [index for _pos, index in items]]]
+                for s, items in entries.items()
+            }
+        )
         for shard, items in entries.items():
-            groups.setdefault(self._handle_for(shard), []).append(
-                (shard, [["attribute_many", [index for _pos, index in items]]])
-            )
-        replies = self._fanout(groups)
-        for handle, shard_ops in groups.items():
-            reply = replies[handle]
-            if isinstance(reply, Exception):
-                raise reply
-            for (shard, _ops), (_shard, op_results) in zip(shard_ops, reply):
-                ok, value = op_results[0]
-                if not ok:
-                    raise value
-                for (pos, _index), owner in zip(entries[shard], value):
-                    owners[pos] = owner
+            [(ok, value)] = outcomes[shard]
+            if not ok:
+                raise value
+            for (pos, _index), owner in zip(items, value):
+                owners[pos] = owner
         return owners
 
     def task(self, task_index: int) -> Task:
@@ -1504,15 +1349,14 @@ class ShardedWBCServer:
         the round-trip witness the sharded accountability property tests
         exercise at bignum scale."""
         shard, local, engine = self._engine_for_index(task_index)
-        row, serial = engine.allocator.attribute(local)
-        volunteer = engine.frontend.volunteer_for(row, serial)
+        row, serial = engine.locate(task_index)
         return AttributionPath(
             global_index=task_index,
             shard=shard,
             local_index=local,
             row=row,
             serial=serial,
-            volunteer_id=volunteer,
+            volunteer_id=engine.attribute(task_index),
         )
 
     # ------------------------------------------------------------------
@@ -1521,12 +1365,10 @@ class ShardedWBCServer:
         """The volunteer's current profile.  Routed through
         :meth:`engine_of`, so a volunteer on a crashed shard fails with
         the clear retry-after-restore
-        :class:`~repro.errors.ShardDownError`.  In worker mode the
-        profile comes from the parent-side mirror (no pipe round trip)."""
-        engine = self.engine_of(volunteer_id)
-        if self._workers is not None:
-            return self._mirror.profiles[volunteer_id]
-        return engine.profile_of(volunteer_id)
+        :class:`~repro.errors.ShardDownError`.  The profile comes from
+        the router-side mirror (no host round trip)."""
+        self.engine_of(volunteer_id)
+        return self._mirror.profiles[volunteer_id]
 
     def is_banned(self, volunteer_id: int) -> bool:
         """Whether the strike policy banned *volunteer_id*.  Unknown ids
@@ -1534,15 +1376,13 @@ class ShardedWBCServer:
         down raises the clear retry-after-restore
         :class:`~repro.errors.ShardDownError` via :meth:`engine_of`
         (previously this indexed the engine list directly and tripped
-        the dead-shard sentinel's obscure attribute-access message).  In
-        worker mode the answer comes from the ban mirror, which the
-        published ``VolunteerBanned`` stream keeps fresh."""
+        the dead-shard sentinel's obscure attribute-access message).  The
+        answer comes from the ban mirror, which the published
+        ``VolunteerBanned`` stream keeps fresh."""
         if volunteer_id not in self._shard_of:
             return False
-        engine = self.engine_of(volunteer_id)
-        if self._workers is not None:
-            return volunteer_id in self._mirror.banned
-        return engine.is_banned(volunteer_id)
+        self.engine_of(volunteer_id)
+        return volunteer_id in self._mirror.banned
 
     def report(self) -> LedgerReport:
         """The aggregate ledger report across every *live* shard (a

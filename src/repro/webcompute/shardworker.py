@@ -1,40 +1,44 @@
-"""Worker-process execution of engine shards (the parallel half of
-:mod:`~repro.webcompute.sharding`).
+"""Shard hosts: the one protocol the sharded router drives its engines
+through (the execution half of :mod:`~repro.webcompute.sharding`).
 
 A :class:`~repro.webcompute.engine.AllocationEngine` is deterministic and
-journal-replayable, which makes it *shippable*: the sharded router can run
-each shard's engine in a separate OS process and drive it with exactly the
-ops it would otherwise journal.  This module holds everything that crosses
-the process boundary:
+journal-replayable, which makes it *shippable*: the router drives each
+shard's engine with exactly the ops it journals, through a host that
+answers one message with one reply.  The same message handler runs in
+both kinds of host, so the serial and the worker-process router share
+one op dispatcher and one restore path by construction:
 
 * :func:`shard_codec` -- builds a shard's
   :class:`~repro.webcompute.engine.IndexCodec` from ``(composer, shard)``.
-  The codec's closures are *not* picklable, so the parent never ships a
-  codec; it ships the pair of values and both sides rebuild the same
-  bijection from them (the parent for its serial mode, the worker for its
-  hosted engines).
+  The codec's closures are *not* picklable, so the router never ships a
+  codec; it ships the pair of values and the host rebuilds the bijection.
 * :class:`EngineSpec` -- the picklable recipe for one shard's engine
-  (APF, composer, shard number, ledger knobs, seed).  ``build()`` runs on
-  the worker side and must produce an engine bit-identical to the one the
-  serial router would construct.
-* :func:`worker_main` -- the worker process loop: applies journal-grammar
-  ops to its hosted engines, answers read-only queries, rebuilds a shard
-  via the streaming-restore protocol (``restore_begin`` installs the base
-  checkpoint, ``restore_apply`` folds delta segments and replays journaled
-  ops in arrival order, ``restore_finish`` promotes the engine and attaches
-  its event tap), and returns every event its engines published (the
-  parent re-publishes them onto the global bus, so the typed event stream
-  survives the process boundary).
-* :class:`WorkerHandle` -- the parent-side endpoint: one child process +
-  one duplex pipe, with split ``start``/``finish`` so the router can fan a
-  batch out to every worker before collecting any reply (the overlap that
-  makes multi-core sharding actually parallel).
+  (APF, composer, shard number, ledger knobs, seed); ``build()`` is the
+  only place shard engines are constructed.
+* :func:`serve` -- the message handler over one host's :class:`Hosted`
+  engines: applies ops through :func:`~repro.webcompute.recovery.apply_op`
+  (the dispatcher journal replay uses too), answers read-only queries,
+  and rebuilds a shard via the streaming-restore protocol
+  (``restore_begin`` installs the base checkpoint, ``restore_apply``
+  folds delta segments and replays journaled ops in arrival order,
+  ``restore_finish`` promotes the engine and attaches its event hook).
+* :class:`InProcessHost` -- calls :func:`serve` directly in the router's
+  process, with no pickling.  Its engines forward their events straight
+  onto the router's bus, and the router's engine slots hold the engines
+  themselves, so the hot singular calls never go through a message.
+* :func:`worker_main` / :class:`WorkerHandle` -- the process host: a
+  child process looping over :func:`serve`, and the parent-side endpoint
+  (one duplex pipe, with split ``start``/``finish`` so the router can
+  fan a batch out to every worker before collecting any reply -- the
+  overlap that makes multi-core sharding actually parallel).  Its
+  engines' events ride back in each reply for the router to re-publish.
 
 Protocol: one request message, one reply.  Every reply is
 ``(status, payload, events)`` where ``events`` is the ordered list of
 ``(shard, event)`` pairs the hosted engines published since the previous
-reply.  A worker process dying surfaces as :class:`WorkerDiedError` on the
-parent side; the router maps that onto the existing
+reply and did not deliver themselves (always empty in-process).  A
+worker process dying surfaces as :class:`WorkerDiedError` on the parent
+side; the router maps that onto the existing
 ``crash_shard``/``restore_shard`` fault path, so a real process death is
 indistinguishable from an injected crash.
 """
@@ -49,10 +53,19 @@ from repro.apf.base import AdditivePairingFunction
 from repro.core.base import PairingFunction
 from repro.errors import AllocationError, RecoveryError, ShardDownError
 from repro.webcompute.engine import AllocationEngine, IndexCodec
-from repro.webcompute.recovery import apply_op
-from repro.webcompute.volunteer import VolunteerProfile
+from repro.webcompute.events import EventBus
+from repro.webcompute.recovery import apply_op, replay
 
-__all__ = ["shard_codec", "EngineSpec", "WorkerHandle", "WorkerDiedError", "worker_main"]
+__all__ = [
+    "shard_codec",
+    "EngineSpec",
+    "Hosted",
+    "serve",
+    "InProcessHost",
+    "WorkerHandle",
+    "WorkerDiedError",
+    "worker_main",
+]
 
 
 class WorkerDiedError(ShardDownError):
@@ -64,8 +77,8 @@ class WorkerDiedError(ShardDownError):
 def shard_codec(composer: PairingFunction, shard: int) -> IndexCodec:
     """Shard *shard*'s slice of the global index space: row ``shard + 1``
     of *composer* (1-indexed, like everything in the paper).  Built from
-    plain values so the serial router and the worker process construct
-    the identical bijection independently."""
+    plain values so a host in any process constructs the identical
+    bijection."""
     shard_no = shard + 1
 
     def encode(local: int) -> int:
@@ -84,9 +97,9 @@ def shard_codec(composer: PairingFunction, shard: int) -> IndexCodec:
 
 @dataclass(frozen=True, slots=True)
 class EngineSpec:
-    """The picklable recipe for one shard's engine.  ``build()`` must
-    reproduce exactly what the serial router's ``_fresh_engine`` builds:
-    same seed offset, same codec, same ledger knobs."""
+    """The picklable recipe for one shard's engine: seed offset by the
+    shard number, the shard's codec, the ledger knobs.  Construction and
+    recovery both start from ``build()``, in either host."""
 
     apf: AdditivePairingFunction
     composer: PairingFunction
@@ -108,37 +121,8 @@ class EngineSpec:
 
 
 # ----------------------------------------------------------------------
-# Worker-side op and query dispatch
+# The host protocol
 # ----------------------------------------------------------------------
-
-
-def _apply_live_op(engine: AllocationEngine, op: list[Any]) -> Any:
-    """Apply one journal-grammar op to a live engine and return its
-    result (the journal replay path discards results; the live path
-    ships them back to the router)."""
-    kind = op[0]
-    if kind == "tick":
-        return engine.tick()
-    if kind == "register":
-        profiles = [VolunteerProfile.from_state(p) for p in op[1]]
-        return engine.register_round(profiles, ids=list(op[2]))
-    if kind == "validate_register":
-        profiles = [VolunteerProfile.from_state(p) for p in op[1]]
-        engine.validate_round(profiles, ids=list(op[2]))
-        return None
-    if kind == "depart":
-        return engine.depart(op[1])
-    if kind == "request":
-        return engine.request_task(op[1])
-    if kind == "submit":
-        return engine.submit_result(op[1], op[2], op[3])
-    if kind == "reap":
-        return engine.reap_expired()
-    if kind == "corrupt":
-        return engine.mark_corrupted(op[1], op[2])
-    if kind == "attribute_many":
-        return [engine.attribute(index) for index in op[1]]
-    raise RecoveryError(f"unknown worker op {kind!r}")
 
 
 _QUERIES = {
@@ -146,8 +130,6 @@ _QUERIES = {
     "seated_count": lambda e: e.seated_count,
     "max_task_index": lambda e: e.max_task_index,
     "report": lambda e: e.report(),
-    "is_banned": lambda e, vid: e.is_banned(vid),
-    "profile_of": lambda e, vid: e.profile_of(vid),
     "attribute": lambda e, index: e.attribute(index),
     "locate": lambda e, index: e.locate(index),
     "task": lambda e, index: e.ledger.task(index),
@@ -155,120 +137,167 @@ _QUERIES = {
     "snapshot_delta": lambda e, since: e.snapshot_delta(since),
     "seated_volunteers": lambda e: e.frontend.seated_volunteers(),
     "row_of": lambda e, vid: e.frontend.row_of(vid),
-    "volunteer_for": lambda e, row, serial: e.frontend.volunteer_for(row, serial),
-    "allocator_attribute": lambda e, local: e.allocator.attribute(local),
 }
+
+
+class Hosted:
+    """The engines one host serves: the live ones by shard, the ones a
+    streaming restore is rebuilding, and the ``(shard, event)`` pairs
+    published since the last reply.  *attach* is the host's event hook,
+    run on every engine as it goes live (never during replay, so replayed
+    history is not re-published); by default it records events into
+    :attr:`events` for the reply to carry."""
+
+    __slots__ = ("engines", "restoring", "events", "_attach")
+
+    def __init__(self, specs: dict[int, EngineSpec], attach=None) -> None:
+        self.engines: dict[int, AllocationEngine] = {}
+        self.restoring: dict[int, AllocationEngine] = {}
+        self.events: list[tuple[int, Any]] = []
+        self._attach = self._record if attach is None else attach
+        for shard in sorted(specs):
+            self.install(shard, specs[shard].build())
+
+    def _record(self, shard: int, engine: AllocationEngine) -> None:
+        engine.bus.subscribe(lambda event: self.events.append((shard, event)))
+
+    def install(self, shard: int, engine: AllocationEngine) -> None:
+        self._attach(shard, engine)
+        self.engines[shard] = engine
+
+    def rebuilding(self, shard: int) -> AllocationEngine:
+        engine = self.restoring.get(shard)
+        if engine is None:
+            raise RecoveryError(f"shard {shard} is not restoring here")
+        return engine
+
+    def drain(self) -> list[tuple[int, Any]]:
+        events, self.events = self.events, []
+        return events
+
+
+def _apply_ops(engine: AllocationEngine | None, shard: int, ops: list) -> list:
+    """Per-op ``(ok, result-or-exception)`` outcomes, in order."""
+    if engine is None:
+        return [(False, ShardDownError(f"shard {shard} is not hosted")) for _ in ops]
+    results = []
+    for op in ops:
+        try:
+            results.append((True, apply_op(engine, op)))
+        except Exception as exc:  # per-op outcome, shipped back
+            results.append((False, exc))
+    return results
+
+
+def serve(hosted: Hosted, message: tuple) -> tuple[str, Any, list]:
+    """Answer one protocol message against *hosted*; returns
+    ``(status, payload, events)``.  A failing message comes back as
+    ``("err", exception, events)`` rather than raising, so both hosts
+    hand the router the same reply shapes.
+
+    Messages: ``("ops", [(shard, [op, ...]), ...])`` (payload: per shard,
+    the per-op outcomes), ``("call", shard, query, args)``,
+    ``("restore_begin", shard, spec, state)``, ``("restore_apply", shard,
+    items, replayed)`` (payload: the new count of replayed ops; a
+    divergence names the op's position in the journal, counting the
+    *replayed* ops applied by earlier chunks), ``("restore_finish",
+    shard)`` (payload: ``(tasks issued, clock)`` for the audit),
+    ``("drop", shard)`` and ``("stop",)``."""
+    kind = message[0]
+    try:
+        if kind == "ops":
+            payload: Any = [
+                (shard, _apply_ops(hosted.engines.get(shard), shard, ops))
+                for shard, ops in message[1]
+            ]
+        elif kind == "call":
+            _kind, shard, name, args = message
+            engine = hosted.engines.get(shard)
+            if engine is None:
+                raise ShardDownError(f"shard {shard} is not hosted")
+            payload = _QUERIES[name](engine, *args)
+        elif kind == "restore_begin":
+            _kind, shard, spec, state = message
+            engine = spec.build()
+            engine.restore_state(state)
+            hosted.restoring[shard] = engine
+            payload = None
+        elif kind == "restore_apply":
+            _kind, shard, items, replayed = message
+            engine = hosted.rebuilding(shard)
+            for item_kind, item in items:
+                if item_kind == "delta":
+                    engine.apply_delta(item)
+                else:
+                    replayed += replay(engine, [item], first=replayed)
+            payload = replayed
+        elif kind == "restore_finish":
+            shard = message[1]
+            engine = hosted.rebuilding(shard)
+            del hosted.restoring[shard]
+            hosted.install(shard, engine)
+            payload = (engine.ledger.tasks_issued_count(), engine.clock)
+        elif kind == "drop":
+            hosted.engines.pop(message[1], None)
+            hosted.restoring.pop(message[1], None)
+            payload = None
+        elif kind == "stop":
+            payload = None
+        else:
+            raise RecoveryError(f"unknown host message {kind!r}")
+    except Exception as exc:
+        return ("err", exc, hosted.drain())
+    return ("ok", payload, hosted.drain())
+
+
+class InProcessHost:
+    """A host in the router's own process, with :class:`WorkerHandle`'s
+    surface: every message is one direct :func:`serve` call (no pickling).
+    Its engines forward their events synchronously onto *bus*, so replies
+    carry none.  It never dies, and :meth:`close` leaves the engines
+    readable."""
+
+    def __init__(self, specs: dict[int, EngineSpec], bus: EventBus) -> None:
+        self.hosted = Hosted(
+            specs, lambda shard, engine: engine.bus.forward_to(bus, shard=shard)
+        )
+        self.alive = True
+        self._reply: tuple | None = None
+
+    def slot(self, shard: int, proxy):
+        """What the router's engine slot holds for live *shard*: the
+        engine itself, so hot calls skip the protocol."""
+        return self.hosted.engines[shard]
+
+    def start(self, message: tuple) -> None:
+        self._reply = serve(self.hosted, message)
+
+    def finish(self) -> tuple:
+        reply, self._reply = self._reply, None
+        return reply
+
+    def request(self, message: tuple) -> tuple:
+        return serve(self.hosted, message)
+
+    def close(self) -> None:
+        pass
 
 
 def worker_main(conn, specs: dict[int, EngineSpec]) -> None:
     """The worker process body: host the engines described by *specs*
-    and serve the router until a ``stop`` message or a closed pipe.
-
-    Every reply carries the ordered ``(shard, event)`` stream published
-    since the previous reply; restore attaches the event tap only *after*
-    journal replay, so replayed history is never re-published -- the same
-    discipline as the serial ``restore_shard``."""
-    engines: dict[int, AllocationEngine] = {}
-    restoring: dict[int, AllocationEngine] = {}
-    pending_events: list[tuple[int, Any]] = []
-
-    def attach(shard: int, engine: AllocationEngine) -> None:
-        engine.bus.subscribe(lambda event, _s=shard: pending_events.append((_s, event)))
-
-    for shard in sorted(specs):
-        engine = specs[shard].build()
-        attach(shard, engine)
-        engines[shard] = engine
-
-    def drain() -> list[tuple[int, Any]]:
-        out = pending_events[:]
-        pending_events.clear()
-        return out
-
+    and :func:`serve` the router until a ``stop`` message or a closed
+    pipe."""
+    hosted = Hosted(specs)
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        kind = message[0]
         try:
-            if kind == "ops":
-                groups = []
-                for shard, ops in message[1]:
-                    engine = engines.get(shard)
-                    if engine is None:
-                        groups.append(
-                            (
-                                shard,
-                                [
-                                    (False, ShardDownError(f"shard {shard} is not hosted"))
-                                    for _ in ops
-                                ],
-                            )
-                        )
-                        continue
-                    results = []
-                    for op in ops:
-                        try:
-                            results.append((True, _apply_live_op(engine, op)))
-                        except Exception as exc:  # per-op outcome, shipped back
-                            results.append((False, exc))
-                    groups.append((shard, results))
-                reply = ("ok", groups, drain())
-            elif kind == "call":
-                _kind, shard, name, args = message
-                engine = engines.get(shard)
-                if engine is None:
-                    raise ShardDownError(f"shard {shard} is not hosted")
-                reply = ("ok", _QUERIES[name](engine, *args), drain())
-            elif kind == "restore_begin":
-                _kind, shard, spec, state = message
-                engine = spec.build()
-                engine.restore_state(state)
-                restoring[shard] = engine
-                reply = ("ok", None, drain())
-            elif kind == "restore_apply":
-                _kind, shard, items = message
-                engine = restoring.get(shard)
-                if engine is None:
-                    raise RecoveryError(f"shard {shard} is not restoring here")
-                applied = 0
-                for item_kind, item in items:
-                    if item_kind == "delta":
-                        engine.apply_delta(item)
-                    else:
-                        try:
-                            apply_op(engine, item)
-                        except Exception as exc:
-                            raise RecoveryError(
-                                f"journal replay diverged at op {applied} "
-                                f"({item[0]!r}): {exc}"
-                            ) from exc
-                        applied += 1
-                reply = ("ok", applied, drain())
-            elif kind == "restore_finish":
-                shard = message[1]
-                engine = restoring.pop(shard, None)
-                if engine is None:
-                    raise RecoveryError(f"shard {shard} is not restoring here")
-                attach(shard, engine)
-                engines[shard] = engine
-                issued = engine.ledger.tasks_issued_count()
-                reply = ("ok", (issued, engine.clock), drain())
-            elif kind == "drop":
-                engines.pop(message[1], None)
-                restoring.pop(message[1], None)
-                reply = ("ok", None, drain())
-            elif kind == "stop":
-                conn.send(("ok", None, drain()))
-                return
-            else:
-                raise RecoveryError(f"unknown worker message {kind!r}")
-        except Exception as exc:
-            reply = ("err", exc, drain())
-        try:
-            conn.send(reply)
+            conn.send(serve(hosted, message))
         except (BrokenPipeError, OSError):
+            return
+        if message[0] == "stop":
             return
 
 
@@ -292,6 +321,11 @@ class WorkerHandle:
         child.close()
         self.alive = True
         self._awaiting = False
+
+    def slot(self, shard: int, proxy):
+        """What the router's engine slot holds for live *shard*: *proxy*,
+        since the engine lives in the child process."""
+        return proxy
 
     def _die(self) -> WorkerDiedError:
         self.alive = False

@@ -131,6 +131,32 @@ class TestBulkAPIs:
                     [results[0].index, results[2].index]
                 ) == [a, b]
 
+    def test_bulk_calls_journal_identically_in_both_modes(self):
+        journals = {}
+        for workers in (None, 2):
+            with make_server(shards=2, workers=workers) as server:
+                a, b, c, d = server.register_round(
+                    [VolunteerProfile(name) for name in "abcd"]
+                )
+                server.tick()
+                tasks = server.request_tasks([a, 99, b, c])
+                assert isinstance(tasks[1], AllocationError)
+                outcomes = server.submit_results(
+                    [
+                        (a, tasks[0].index, correct_result(tasks[0].index)),
+                        # b "returns" a's task: cross-shard forgery.
+                        (b, tasks[0].index, 0),
+                        (b, tasks[2].index, correct_result(tasks[2].index)),
+                    ]
+                )
+                assert outcomes[0] is None and outcomes[2] is None
+                assert isinstance(outcomes[1], (AllocationError, DomainError))
+                server.request_tasks([d, a])
+                journals[workers] = [store.ops() for store in server._stores]
+        assert journals[None] == journals[2]
+        assert any(op[0] == "requests" for ops in journals[None] for op in ops)
+        assert any(op[0] == "submits" for ops in journals[None] for op in ops)
+
     def test_bulk_request_routes_around_down_shard(self):
         for workers in (None, 2):
             with make_server(shards=2, workers=workers) as server:
@@ -195,7 +221,7 @@ class TestTornRounds:
         crashed, and after restoring it a retried round seats cleanly."""
         with make_server(shards=2, workers=2) as server:
             proxy = server.engines[1]
-            handle = server._handle_for(1)
+            handle = server._host_for(1)
 
             class DyingProxy:
                 """Delegates to the real shard-1 proxy, but kills its
@@ -238,8 +264,8 @@ class TestWorkerDeath:
             tasks = {vid: server.request_task(vid) for vid in ids}
             server.checkpoint_all()
             # Worker 0 hosts shards 0 and 2 (shard % workers).
-            server._workers[0].process.kill()
-            server._workers[0].process.join(timeout=5.0)
+            server._hosts[0].process.kill()
+            server._hosts[0].process.join(timeout=5.0)
             with pytest.raises(ShardDownError):
                 server.request_task(ids[0])  # shard 0: discovers the death
             assert not server.is_shard_alive(0)
@@ -262,7 +288,7 @@ class TestWorkerDeath:
 
     def test_close_is_idempotent_and_kills_workers(self):
         server = make_server(shards=2, workers=2)
-        procs = [h.process for h in server._workers]
+        procs = [h.process for h in server._hosts]
         server.close()
         server.close()
         for proc in procs:

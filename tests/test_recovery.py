@@ -280,6 +280,57 @@ class TestCheckpointStore:
         assert replay(rebuilt, ops) == len(ops)
         assert rebuilt.snapshot_state() == live.snapshot_state()
 
+    def test_apply_op_returns_the_engine_result(self):
+        """``apply_op`` is the live dispatcher too: every tag hands back
+        exactly what the engine call returns (a list, one entry per
+        item, for the bulk tags)."""
+        via_op = AllocationEngine(TSharp(), verification_rate=1.0, seed=5, lease_ticks=2)
+        direct = AllocationEngine(TSharp(), verification_rate=1.0, seed=5, lease_ticks=2)
+        states = [VolunteerProfile(name).to_state() for name in "abcde"]
+        a, b, c, d, e = ids = [1, 2, 3, 4, 5]
+
+        def both(op, call):
+            got = apply_op(via_op, op)
+            assert got == call(direct), op[0]
+            return got
+
+        def fresh():
+            return [VolunteerProfile.from_state(state) for state in states]
+
+        assert both(
+            ["validate_register", states, ids],
+            lambda eng: eng.validate_round(fresh(), ids=ids),
+        ) is None
+        assert both(
+            ["register", states, ids], lambda eng: eng.register_round(fresh(), ids=ids)
+        ) == ids
+        assert both(["tick"], lambda eng: eng.tick()) == 1
+        task_a = both(["request", a], lambda eng: eng.request_task(a))
+        task_b, task_c = both(
+            ["requests", [b, c]], lambda eng: [eng.request_task(b), eng.request_task(c)]
+        )
+        assert task_a.volunteer_id == a and task_c.volunteer_id == c
+        ra, rb = task_a.expected_result, task_b.expected_result
+        assert both(
+            ["submit", a, task_a.index, ra],
+            lambda eng: eng.submit_result(a, task_a.index, ra),
+        ) is None
+        assert both(
+            ["submits", [[b, task_b.index, rb]]],
+            lambda eng: [eng.submit_result(b, task_b.index, rb)],
+        ) == [None]
+        assert both(
+            ["attribute_many", [task_a.index, task_c.index]],
+            lambda eng: [eng.attribute(task_a.index), eng.attribute(task_c.index)],
+        ) == [a, c]
+        corrupted = both(["corrupt", d, 1.0], lambda eng: eng.mark_corrupted(d, 1.0))
+        assert corrupted.error_rate == 1.0
+        for _ in range(3):
+            both(["tick"], lambda eng: eng.tick())
+        assert both(["reap"], lambda eng: eng.reap_expired())
+        assert both(["depart", e], lambda eng: eng.depart(e)) is None
+        assert via_op.snapshot_state() == direct.snapshot_state()
+
     def test_bulk_ops_replay_as_their_singular_forms(self):
         """The batched router journals ``requests``/``submits`` entries;
         replaying them must restore the exact state the equivalent

@@ -6,6 +6,7 @@ codes."""
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,28 @@ class TestReportersAndCli:
         (bad / "mod.py").write_text("x = 1\n")
         assert run_cli([str(bad / "mod.py")]) == 2
         capsys.readouterr()
+
+    def test_lint_under_a_hidden_directory(self, capsys, tmp_path):
+        """Hidden directories are judged below the analysed path only: a
+        project checked out under one (``~/.cache/...``) is analysed, and
+        paths naming no Python file are a usage error."""
+        from repro.cli import main
+
+        project = tmp_path / ".hidden" / "miniproj"
+        shutil.copytree(
+            MINIPROJ, project, ignore=shutil.ignore_patterns(".reprolint-cache.json")
+        )
+        (project / "pkg" / ".skipped").mkdir()
+        (project / "pkg" / ".skipped" / "mod.py").write_text("x = 1 / 2\n")
+        capsys.readouterr()
+        assert main(["lint", "--no-cache", "--json", str(project / "pkg")]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["files"] == 3
+        assert payload["counts_by_rule"] == {"R001": 1}
+        empty = tmp_path / ".hidden" / "empty"
+        empty.mkdir()
+        assert main(["lint", "--no-cache", str(empty)]) == 2
+        assert "no Python files" in capsys.readouterr().err
 
     def test_json_flag_emits_parseable_report(self, capsys):
         code = run_cli([str(MINIPROJ / "pkg" / "exact_mod.py"), "--json"])

@@ -93,7 +93,7 @@ class TestStreamingDifferential:
         # (store.latest()) + journal replay.  The degraded round's
         # register op is journaled, so both paths contain it.
         store = server._stores[1]
-        blocking = server._fresh_engine(1)
+        blocking = server._spec_for(1).build()
         blocking.restore_state(store.latest().state)
         replay(blocking, store.ops())
         assert canonical(blocking.snapshot_state()) == canonical(
@@ -188,21 +188,29 @@ class TestDegradedService:
             pass
         assert server.engines[1].clock == server.clock
 
-    def test_replay_divergence_aborts_to_plain_down(self):
-        server = make_server()
-        vids = server.register_round(
-            [VolunteerProfile(f"v{i}") for i in range(6)]
-        )
-        drive(server, vids)
-        server.crash_shard(1)
-        # Poison the journal: a submit for a task the shard never issued.
-        server._stores[1].journal(["submit", 99, 1, 0])
-        server.begin_restore(1)
-        with pytest.raises(RecoveryError, match="journal replay diverged"):
-            while not server.restore_step(1):
-                pass
-        assert not server.is_shard_restoring(1)
-        assert not server.is_shard_alive(1)
+    # Short ids keep every case's full name within 100 characters.
+    @pytest.mark.parametrize("max_items", [None, 1], ids=["all", "1"])
+    @pytest.mark.parametrize("workers", [None, 2], ids=["s", "w"])
+    def test_replay_divergence_aborts_to_plain_down(self, workers, max_items):
+        with make_server(workers=workers) as server:
+            vids = server.register_round(
+                [VolunteerProfile(f"v{i}") for i in range(6)]
+            )
+            drive(server, vids)
+            server.crash_shard(1)
+            # Poison the journal: a submit for a task the shard never issued.
+            server._stores[1].journal(["submit", 99, 1, 0])
+            position = server._stores[1].pending_ops - 1
+            assert position > 0
+            server.begin_restore(1)
+            with pytest.raises(
+                RecoveryError,
+                match=rf"journal replay diverged at op {position} \('submit'\)",
+            ):
+                while not server.restore_step(1, max_items=max_items):
+                    pass
+            assert not server.is_shard_restoring(1)
+            assert not server.is_shard_alive(1)
 
     def test_double_begin_rejected(self):
         server = make_server()

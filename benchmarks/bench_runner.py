@@ -44,7 +44,7 @@ from repro.core.base import (
     StorageMapping,
 )
 from repro.core.registry import get_pairing
-from repro.perf.batch import pair_many, spread_many, unpair_many, vectorization_window
+from repro.perf.batch import spread_many, vectorization_window
 
 SCHEMA = "repro.bench-eval/1"
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_eval.json"
@@ -131,11 +131,11 @@ def scenario_batch_speed(smoke: bool, repeats: int) -> dict:
         ys = xs[::-1].copy()
         zs = np.arange(1, size + 1, dtype=np.int64)
 
-        vector_pair_s = _best_seconds(lambda: pair_many(pf, xs, ys), repeats)
+        vector_pair_s = _best_seconds(lambda: pf.pair_array(xs, ys), repeats)
         scalar_pair_s = _best_seconds(
             lambda: [pf.pair(int(x), int(y)) for x, y in zip(xs, ys)], repeats
         )
-        vector_unpair_s = _best_seconds(lambda: unpair_many(pf, zs), repeats)
+        vector_unpair_s = _best_seconds(lambda: pf.unpair_array(zs), repeats)
         scalar_unpair_s = _best_seconds(
             lambda: [pf.unpair(int(z)) for z in zs], repeats
         )
@@ -649,22 +649,22 @@ def scenario_consistency() -> dict:
     checked = 0
     for name in BATCH_MAPPINGS:
         pf = get_pairing(name)
-        xs, ys = unpair_many(pf, BOUNDARY_ADDRESSES)
+        xs, ys = pf.unpair_array(BOUNDARY_ADDRESSES)
         for z, x, y in zip(BOUNDARY_ADDRESSES, xs.reshape(-1), ys.reshape(-1)):
             sx, sy = pf.unpair(z)
             if (int(x), int(y)) != (sx, sy):
                 raise AssertionError(
-                    f"{name}: unpair_many({z}) = ({x}, {y}), scalar says ({sx}, {sy})"
+                    f"{name}: unpair_array({z}) = ({x}, {y}), scalar says ({sx}, {sy})"
                 )
             if pf.pair(sx, sy) != z:
                 raise AssertionError(f"{name}: roundtrip broke at {z}")
             checked += 1
         coords = [1, 2, 1000, EXACT_SAFE_COORD_LIMIT, EXACT_SAFE_COORD_LIMIT + 1, 2**40]
-        got = pair_many(pf, coords, coords[::-1])
+        got = pf.pair_array(coords, coords[::-1])
         for x, y, z in zip(coords, coords[::-1], got.reshape(-1)):
             if int(z) != pf.pair(x, y):
                 raise AssertionError(
-                    f"{name}: pair_many({x}, {y}) = {z}, scalar says {pf.pair(x, y)}"
+                    f"{name}: pair_array({x}, {y}) = {z}, scalar says {pf.pair(x, y)}"
                 )
             checked += 1
     return {"checked": checked, "pass": True}
@@ -685,6 +685,17 @@ def load_trajectory(path: Path) -> dict:
             if isinstance(data.get("runs"), list):
                 return data
     return {"schema": SCHEMA, "runs": []}
+
+
+def append_run(path: Path, run: dict) -> dict:
+    """Append *run* to the trajectory at *path* and write it back; a
+    missing, corrupt or foreign file is replaced by a new trajectory.
+    Returns the trajectory written."""
+    trajectory = load_trajectory(path)
+    trajectory["runs"].append(run)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(trajectory, indent=2) + "\n")
+    return trajectory
 
 
 def build_run(smoke: bool, repeats: int) -> dict:
@@ -726,10 +737,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"CONSISTENCY FAILURE: {exc}", file=sys.stderr)
         return 1
 
-    trajectory = load_trajectory(args.output)
-    trajectory["runs"].append(run)
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(trajectory, indent=2) + "\n")
+    trajectory = append_run(args.output, run)
 
     batch = run["scenarios"]["batch_speed"]
     spread = run["scenarios"]["spread_compactness"]

@@ -69,7 +69,7 @@ from repro.apf import (
 )
 from repro.core.ndim import IteratedPairing
 from repro.encoding import StringCodec, TupleCodec
-from repro.perf import SpreadCache, pair_many, spread_many, unpair_many
+from repro.perf import SpreadCache, spread_many
 
 __version__ = "1.0.0"
 
@@ -111,7 +111,5 @@ __all__ = [
     "StringCodec",
     # perf
     "SpreadCache",
-    "pair_many",
-    "unpair_many",
     "spread_many",
 ]

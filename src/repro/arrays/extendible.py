@@ -30,7 +30,6 @@ from typing import Any, Iterator
 from repro.arrays.address_space import AddressSpace
 from repro.core.base import StorageMapping
 from repro.errors import ConfigurationError, DomainError
-from repro.perf.batch import pair_many
 
 __all__ = ["ExtendibleArray"]
 
@@ -95,10 +94,10 @@ class ExtendibleArray:
     # ------------------------------------------------------------------
 
     def _addresses_of(self, xs, ys) -> list[int]:
-        """Addresses of a coordinate batch through the perf layer's batch
-        dispatcher (vectorized kernel when the mapping has one and the
-        coordinates fit its exact-safe window; exact scalar loop else)."""
-        return [int(z) for z in pair_many(self.mapping, xs, ys).reshape(-1)]
+        """Addresses of a coordinate batch through the mapping's batch
+        kernel (vectorized when the mapping has one and the coordinates
+        fit its exact-safe window; exact scalar loop else)."""
+        return [int(z) for z in self.mapping.pair_array(xs, ys).reshape(-1)]
 
     # ------------------------------------------------------------------
 

@@ -200,10 +200,8 @@ def bulk_touch(array, positions: Sequence[tuple[int, int]], value) -> int:
     mapping = getattr(array, "mapping", None)
     space = getattr(array, "space", None)
     if mapping is not None and space is not None:
-        from repro.perf.batch import pair_many
-
-        addresses = pair_many(
-            mapping, [p[0] for p in positions], [p[1] for p in positions]
+        addresses = mapping.pair_array(
+            [p[0] for p in positions], [p[1] for p in positions]
         )
         for address in addresses.reshape(-1):
             space.write(int(address), value)

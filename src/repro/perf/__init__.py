@@ -8,9 +8,10 @@ side:
 * :mod:`~repro.perf.spread_cache` -- :class:`SpreadCache`, memoized +
   incremental spread evaluation for any storage mapping (anchor-based
   band enumeration; closed-form short-circuits where declared);
-* :mod:`~repro.perf.batch` -- ``pair_many`` / ``unpair_many`` /
-  ``spread_many``, the exact-safe-window dispatchers between the NumPy
-  int64 kernels and the scalar bignum paths.
+* :mod:`~repro.perf.batch` -- ``spread_many`` (a grid of spreads through
+  the mapping's :class:`SpreadCache`) and ``vectorization_window`` (the
+  exact-safe window a mapping's ``pair_array`` / ``unpair_array``
+  kernels declare).
 
 Regression tracking lives in ``benchmarks/bench_runner.py``, which runs
 the evaluation-speed and spread-compactness scenarios and appends the
@@ -19,18 +20,11 @@ results to ``benchmarks/BENCH_eval.json``.
 
 from __future__ import annotations
 
-from repro.perf.batch import (
-    pair_many,
-    spread_many,
-    unpair_many,
-    vectorization_window,
-)
+from repro.perf.batch import spread_many, vectorization_window
 from repro.perf.spread_cache import SpreadCache
 
 __all__ = [
     "SpreadCache",
-    "pair_many",
-    "unpair_many",
     "spread_many",
     "vectorization_window",
 ]

@@ -1,16 +1,18 @@
-"""Batch evaluation entry points: ``pair_many`` / ``unpair_many`` /
-``spread_many``.
+"""Batch evaluation helpers: ``spread_many`` / ``vectorization_window``.
 
-These are the functions the array and web-computing layers call on their
-hot paths.  Contract: **exactness first, speed second** -- every function
-returns bit-identical results to the scalar bignum loop, and dispatches to
-the NumPy int64 kernels only for inputs inside the mapping's declared
-exact-safe window (:data:`~repro.core.base.EXACT_SAFE_ADDRESS_LIMIT` /
-:data:`~repro.core.base.EXACT_SAFE_COORD_LIMIT`).  Inputs outside the
-window -- bignum addresses past the float64 mantissa, coordinates whose
-squares would overflow int64, exponentially-growing APFs with no safe
-window at all -- silently take the exact scalar path; mixed batches are
-split element-wise.
+The batch pair/unpair entry points are the mappings' own
+:meth:`~repro.core.base.StorageMapping.pair_array` /
+:meth:`~repro.core.base.StorageMapping.unpair_array`.  Contract:
+**exactness first, speed second** -- they return bit-identical results to
+the scalar bignum loop, and dispatch to the NumPy int64 kernels only for
+inputs inside the mapping's declared exact-safe window
+(:data:`~repro.core.base.EXACT_SAFE_ADDRESS_LIMIT` /
+:data:`~repro.core.base.EXACT_SAFE_COORD_LIMIT`), which
+``vectorization_window`` reports.  Inputs outside the window -- bignum
+addresses past the float64 mantissa, coordinates whose squares would
+overflow int64, exponentially-growing APFs with no safe window at all --
+silently take the exact scalar path; mixed batches are split
+element-wise.
 
 ``spread_many`` routes through the mapping's per-instance
 :class:`~repro.perf.spread_cache.SpreadCache`, turning a grid sweep from
@@ -23,17 +25,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.base import StorageMapping
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "pair_many",
-    "unpair_many",
-    "spread_many",
-    "vectorization_window",
-]
+__all__ = ["spread_many", "vectorization_window"]
 
 
 def _require_mapping(mapping: StorageMapping) -> StorageMapping:
@@ -42,42 +37,6 @@ def _require_mapping(mapping: StorageMapping) -> StorageMapping:
             f"expected a StorageMapping, got {type(mapping).__name__}"
         )
     return mapping
-
-
-def pair_many(
-    mapping: StorageMapping,
-    xs: Sequence[int] | np.ndarray,
-    ys: Sequence[int] | np.ndarray,
-) -> np.ndarray:
-    """``mapping.pair`` over parallel (broadcastable) coordinate batches.
-
-    Vectorized int64 kernel when every coordinate fits the mapping's
-    exact-safe window; exact scalar bignum loop otherwise.  Always agrees
-    with ``[mapping.pair(x, y) for x, y in zip(xs, ys)]``.
-
-    >>> from repro.core.diagonal import DiagonalPairing
-    >>> pair_many(DiagonalPairing(), [1, 2, 3], [1, 1, 1]).tolist()
-    [1, 2, 4]
-    """
-    return _require_mapping(mapping).pair_array(xs, ys)
-
-
-def unpair_many(
-    mapping: StorageMapping, zs: Sequence[int] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``mapping.unpair`` over an address batch; returns ``(xs, ys)``.
-
-    In-window batches stay on the int64 kernel; batches containing any
-    address past the exact-safe limit are split element-wise, with the
-    stragglers running the scalar bignum inverse.  Always agrees with
-    ``[mapping.unpair(z) for z in zs]``.
-
-    >>> from repro.core.diagonal import DiagonalPairing
-    >>> xs, ys = unpair_many(DiagonalPairing(), [1, 2, 3, 4])
-    >>> list(zip(xs.tolist(), ys.tolist()))
-    [(1, 1), (2, 1), (1, 2), (3, 1)]
-    """
-    return _require_mapping(mapping).unpair_array(zs)
 
 
 def spread_many(mapping: StorageMapping, ns: Sequence[int]) -> list[int]:

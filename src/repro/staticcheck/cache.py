@@ -19,9 +19,8 @@ now really do have cross-module eyes (summaries flow through
 ``ProjectSummaries``), so this is the exact dependency set -- a
 comment-only edit dirties zero functions and re-analyzes one file,
 where the v2 reverse-*import* closure re-analyzed 14.  The v2 closure
-(``dirty_closure`` over the ``imports`` field) is kept as the fallback
-when no seed extractor is supplied, and as the bench's point of
-comparison.
+(``dirty_closure`` over the ``imports`` field) is kept as the bench's
+point of comparison.
 
 v4 cuts the reverse-call closure with a **summary delta**: what a
 caller's analysis actually consumed from a callee is its fixpoint
@@ -318,7 +317,7 @@ class AnalysisCache:
     def plan(
         self,
         hashes: Mapping[str, str],
-        extract: "Callable[[str], dict[str, FunctionSeed]] | None" = None,
+        extract: Callable[[str], dict[str, FunctionSeed]],
     ) -> "CachePlan":
         """Decide what to re-analyze for the current file set (absolute
         path -> content hash).  *changed* files have no reusable entry
@@ -326,8 +325,8 @@ class AnalysisCache:
         depend on a change.  Entries for files no longer present are
         dropped here.
 
-        With *extract* (a ``path -> seeds`` callback, normally
-        ``summaries.extract_file_seeds``), the dependency unit is the
+        *extract* is a ``path -> seeds`` callback, normally
+        ``summaries.extract_file_seeds``.  The dependency unit is the
         function: changed files are re-seeded, the old and new call
         graphs are diffed, and only files owning a dirty function
         invalidate -- where dirty means a changed body, a retargeted
@@ -335,16 +334,13 @@ class AnalysisCache:
         differ (the v4 summary-delta cut; callers of a function whose
         summary provably didn't move are skipped).  The extracted seeds
         and the solved fixpoint come back in the plan so the runner
-        never parses a changed file or solves the oracle twice.
-        Without *extract*, the v2 reverse-import closure decides."""
+        never parses a changed file or solves the oracle twice."""
         changed = {
             path
             for path, digest in hashes.items()
             if path not in self.entries or self.entries[path].hash != digest
         }
         removed = set(self.entries) - set(hashes)
-        if extract is None:
-            return self._plan_imports(hashes, changed, removed)
         if not changed and not removed:
             return CachePlan(changed=changed)
         old_files = {
@@ -414,28 +410,6 @@ class AnalysisCache:
             closure_files=len(changed | closure_owners),
             project=new_project,
         )
-
-    def _plan_imports(
-        self, hashes: Mapping[str, str], changed: set[str], removed: set[str]
-    ) -> "CachePlan":
-        """The v2 fallback: whole-file reverse-import closure."""
-        changed_modules = {
-            self.entries[path].module for path in removed
-        } | {
-            self.entries[path].module if path in self.entries else _module_guess(path)
-            for path in changed
-        }
-        for path in removed:
-            del self.entries[path]
-        if not changed_modules:
-            return CachePlan(changed=changed)
-        clean = {
-            path: (entry.module, entry.imports)
-            for path, entry in self.entries.items()
-            if path not in changed
-        }
-        invalidated = dirty_closure(changed_modules, clean)
-        return CachePlan(changed=changed, invalidated=invalidated)
 
     def get(self, path: str) -> CachedFile:
         return self.entries[path]

@@ -19,7 +19,9 @@
 * :mod:`~repro.webcompute.replication` -- the majority-vote replication
   baseline the accountability scheme is cheaper than;
 * :mod:`~repro.webcompute.persistence` -- JSON snapshot/restore of the
-  full server state ("stored for subsequent appearances");
+  full server state ("stored for subsequent appearances") in the one
+  persisted format, the engine's versioned ``snapshot_state()``, which
+  shard checkpoints store too;
 * :mod:`~repro.webcompute.recovery` -- shard checkpoints, op journals,
   deterministic replay, and retry backoff (crash tolerance);
 * :mod:`~repro.webcompute.faults` -- the seeded fault injector and the

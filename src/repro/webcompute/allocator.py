@@ -48,6 +48,24 @@ class RowContract:
         return self.next_serial - 1
 
 
+def _encode_contract(c: RowContract) -> list[int]:
+    """One contract as its persisted ``[row, base, stride, next_serial]``
+    row."""
+    return [c.row, c.base, c.stride, c.next_serial]
+
+
+def _decode_contract(row: list[int]) -> RowContract:
+    """Invert :func:`_encode_contract`: the stored base and stride are
+    trusted, not recomputed, so restoring never re-pays the
+    registration-time APF evaluations."""
+    number, base, stride, next_serial = row
+    return RowContract(
+        row=number,
+        progression=ArithmeticProgression(base, stride),
+        next_serial=next_serial,
+    )
+
+
 class TaskAllocator:
     """Allocates global task indices along APF rows.
 
@@ -207,13 +225,9 @@ class TaskAllocator:
     # -- snapshot / restore state (the persistence seam) ---------------
 
     def snapshot_state(self) -> list[list[int]]:
-        """Every live contract as a compact JSON-able row
-        ``[row, base, stride, next_serial]``, sorted by row.  (Per-field
-        dicts were the v1 format; :meth:`restore_state` accepts both.)"""
-        return [
-            [c.row, c.base, c.stride, c.next_serial]
-            for c in (self._contracts[row] for row in sorted(self._contracts))
-        ]
+        """Every live contract as an :func:`_encode_contract` row, sorted
+        by row."""
+        return [_encode_contract(self._contracts[row]) for row in sorted(self._contracts)]
 
     def snapshot_delta(self, since_tick: int) -> dict[str, Any]:
         """Rows mutated at or after *since_tick*, plus rows released since
@@ -221,12 +235,9 @@ class TaskAllocator:
         unchanged row is harmless because :meth:`apply_delta` upserts."""
         return {
             "rows": [
-                [c.row, c.base, c.stride, c.next_serial]
-                for c in (
-                    self._contracts[row]
-                    for row in sorted(self._contracts)
-                    if self._changed_at.get(row, since_tick) >= since_tick
-                )
+                _encode_contract(self._contracts[row])
+                for row in sorted(self._contracts)
+                if self._changed_at.get(row, since_tick) >= since_tick
             ],
             "released": sorted(
                 row for row, t in self._released_at.items() if t >= since_tick
@@ -242,32 +253,18 @@ class TaskAllocator:
             self._contracts.pop(row, None)
             self._changed_at.pop(row, None)
             self._released_at[row] = now
-        for row, base, stride, next_serial in delta["rows"]:
-            self._contracts[row] = RowContract(
-                row=row,
-                progression=ArithmeticProgression(base, stride),
-                next_serial=next_serial,
-            )
-            self._changed_at[row] = now
-            self._released_at.pop(row, None)
+        for encoded in delta["rows"]:
+            contract = _decode_contract(encoded)
+            self._contracts[contract.row] = contract
+            self._changed_at[contract.row] = now
+            self._released_at.pop(contract.row, None)
 
-    def restore_state(self, contracts: list[Any]) -> None:
-        """Rebuild the contract cache from a :meth:`snapshot_state` list
-        (stored bases/strides are trusted, not recomputed -- restoring must
-        not re-pay the registration-time APF evaluations).  Accepts both the
-        compact ``[row, base, stride, next_serial]`` rows and the v1
-        per-field dicts."""
+    def restore_state(self, contracts: list[list[int]]) -> None:
+        """Rebuild the contract cache from a :meth:`snapshot_state` list."""
         self._contracts = {}
-        for c in contracts:
-            if isinstance(c, dict):
-                row, base, stride, nxt = c["row"], c["base"], c["stride"], c["next_serial"]
-            else:
-                row, base, stride, nxt = c
-            self._contracts[row] = RowContract(
-                row=row,
-                progression=ArithmeticProgression(base, stride),
-                next_serial=nxt,
-            )
+        for encoded in contracts:
+            contract = _decode_contract(encoded)
+            self._contracts[contract.row] = contract
         # Conservatively mark everything dirty at the restored clock: the
         # first post-restore delta over-includes, later ones are incremental.
         now = self._clock_fn()

@@ -45,7 +45,50 @@ from repro.webcompute.ledger import AccountabilityLedger, CounterRNG, LedgerRepo
 from repro.webcompute.task import Task
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 
-__all__ = ["IndexCodec", "IDENTITY_CODEC", "AllocationEngine"]
+__all__ = [
+    "IndexCodec",
+    "IDENTITY_CODEC",
+    "AllocationEngine",
+    "STATE_VERSION",
+    "check_state",
+]
+
+#: The version of :meth:`AllocationEngine.snapshot_state`, the one
+#: persisted state format (server snapshots and shard checkpoints alike).
+STATE_VERSION = 3
+
+_STATE_KEYS = frozenset(
+    {
+        "version",
+        "apf",
+        "clock",
+        "max_task_index",
+        "next_volunteer_id",
+        "lease_ticks",
+        "profiles",
+        "contracts",
+        "frontend",
+        "ledger",
+        "verification_rate",
+        "ban_after_strikes",
+        "rng_state",
+    }
+)
+
+
+def check_state(state: dict[str, Any]) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless *state* is a
+    complete :meth:`AllocationEngine.snapshot_state` dict of
+    :data:`STATE_VERSION`: the one check on state read back from storage."""
+    version = state.get("version")
+    if version != STATE_VERSION:
+        raise ConfigurationError(f"unsupported engine state version {version!r}")
+    keys = set(state)
+    if keys != _STATE_KEYS:
+        raise ConfigurationError(
+            f"engine state is missing {sorted(_STATE_KEYS - keys)} "
+            f"and has unexpected {sorted(keys - _STATE_KEYS)}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -412,13 +455,16 @@ class AllocationEngine:
 
     def snapshot_state(self) -> dict[str, Any]:
         """The engine's *complete* persistent state as a JSON-able dict:
-        engine scalars plus every component's own snapshot (allocator
-        contracts, front-end epochs, ledger tasks/records, verification
-        RNG).  This is the seam both :mod:`~repro.webcompute.persistence`
-        and shard crash recovery restore from; an earlier version captured
-        only the scalars, which silently lost any in-flight task -- a
-        restored engine would re-issue its index."""
+        the format version, the APF's registry name, engine scalars, and
+        every component's own snapshot (allocator contracts, front-end
+        epochs, ledger tasks/records, verification RNG).  This is the one
+        persisted format: :func:`~repro.webcompute.persistence.dumps`
+        writes it as is, and a shard's
+        :class:`~repro.webcompute.recovery.CheckpointStore` base holds the
+        same bytes."""
         return {
+            "version": STATE_VERSION,
+            "apf": self.apf_name,
             "clock": self._clock,
             "max_task_index": self._max_task_index,
             "next_volunteer_id": self._next_volunteer_id,
@@ -485,32 +531,31 @@ class AllocationEngine:
     # reprolint: allow[R005] replay must not re-publish history: events
     # were already emitted when the journaled commands first ran
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Rebuild from a :meth:`snapshot_state` dict.  Component keys are
-        restored when present, so the scalar-only dict that
-        :mod:`~repro.webcompute.persistence` used to pass (and still may,
-        for staged restores that set component state separately) keeps
-        working."""
+        """Rebuild from a :meth:`snapshot_state` dict.  Every key is
+        required (:func:`check_state`), and a state cut from an engine
+        over a different APF is rejected: its task indices would decode
+        to other volunteers."""
+        check_state(state)
+        if state["apf"] != self.apf_name:
+            raise ConfigurationError(
+                f"state was cut under APF {state['apf']!r}, "
+                f"this engine runs {self.apf_name!r}"
+            )
         self._clock = state["clock"]
         self._max_task_index = state["max_task_index"]
         self._next_volunteer_id = state["next_volunteer_id"]
-        self.lease_ticks = state.get("lease_ticks", self.lease_ticks)
+        self.lease_ticks = state["lease_ticks"]
         self._profiles = {
             int(vid): VolunteerProfile.from_state(p)
             for vid, p in state["profiles"].items()
         }
         self._profiles_changed = {vid: self._clock for vid in self._profiles}
-        if "contracts" in state:
-            self.allocator.restore_state(state["contracts"])
-        if "frontend" in state:
-            self.frontend.restore_state(state["frontend"])
-        if "ledger" in state:
-            self.ledger.restore_state(state["ledger"])
-        if "verification_rate" in state:
-            self.ledger.verification_rate = state["verification_rate"]
-        if "ban_after_strikes" in state:
-            self.ledger.ban_after_strikes = state["ban_after_strikes"]
-        if "rng_state" in state:
-            self.ledger.set_rng_state(state["rng_state"])
+        self.allocator.restore_state(state["contracts"])
+        self.frontend.restore_state(state["frontend"])
+        self.ledger.restore_state(state["ledger"])
+        self.ledger.verification_rate = state["verification_rate"]
+        self.ledger.ban_after_strikes = state["ban_after_strikes"]
+        self.ledger.set_rng_state(state["rng_state"])
 
     def __repr__(self) -> str:
         return (

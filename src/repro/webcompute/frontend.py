@@ -50,16 +50,14 @@ class Epoch:
         return self.last_serial is None or serial <= self.last_serial
 
 
-def _decode_epoch(row: int, e: Any) -> Epoch:
-    """Decode one persisted epoch: compact ``[volunteer_id, first_serial,
-    last_serial]`` row or v1 per-field dict."""
-    if isinstance(e, dict):
-        return Epoch(
-            row=row,
-            volunteer_id=e["volunteer_id"],
-            first_serial=e["first_serial"],
-            last_serial=e["last_serial"],
-        )
+def _encode_epoch(e: Epoch) -> list[int | None]:
+    """One epoch as its persisted ``[volunteer_id, first_serial,
+    last_serial]`` row (the row number is the key it is stored under)."""
+    return [e.volunteer_id, e.first_serial, e.last_serial]
+
+
+def _decode_epoch(row: int, e: list[int | None]) -> Epoch:
+    """Invert :func:`_encode_epoch` for an epoch of row *row*."""
     vid, first, last = e
     return Epoch(row=row, volunteer_id=vid, first_serial=first, last_serial=last)
 
@@ -249,10 +247,8 @@ class FrontEnd:
     # -- snapshot / restore state (the persistence seam) ---------------
 
     def snapshot_state(self) -> dict[str, Any]:
-        """The front end's complete persistent state as a JSON-able dict.
-        Epochs use the compact ``[volunteer_id, first_serial, last_serial]``
-        row format (per-field dicts were the v1 format; :meth:`restore_state`
-        accepts both)."""
+        """The front end's complete persistent state as a JSON-able dict;
+        epochs are :func:`_encode_epoch` rows."""
         return {
             "free_rows": sorted(self._free_rows),
             "next_fresh_row": self._next_fresh_row,
@@ -266,10 +262,7 @@ class FrontEnd:
                 str(r): s for r, s in self._issued_serials.items()
             },
             "epochs": {
-                str(row): [
-                    [e.volunteer_id, e.first_serial, e.last_serial]
-                    for e in epochs
-                ]
+                str(row): [_encode_epoch(e) for e in epochs]
                 for row, epochs in self._epochs.items()
             },
         }
@@ -287,10 +280,7 @@ class FrontEnd:
             rows[str(row)] = {
                 "resume": self._row_resume_serial.get(row),
                 "issued": self._issued_serials.get(row),
-                "epochs": [
-                    [e.volunteer_id, e.first_serial, e.last_serial]
-                    for e in self._epochs.get(row, [])
-                ],
+                "epochs": [_encode_epoch(e) for e in self._epochs.get(row, [])],
             }
         return {
             "free_rows": sorted(self._free_rows),
@@ -321,10 +311,7 @@ class FrontEnd:
                 self._row_resume_serial[row] = info["resume"]
             if info["issued"] is not None:
                 self._issued_serials[row] = info["issued"]
-            self._epochs[row] = [
-                Epoch(row=row, volunteer_id=v, first_serial=f, last_serial=l)
-                for v, f, l in info["epochs"]
-            ]
+            self._epochs[row] = [_decode_epoch(row, e) for e in info["epochs"]]
             self._row_changed[row] = now
         for vid in delta["unseated"]:
             self._row_of_volunteer.pop(vid, None)
@@ -337,8 +324,7 @@ class FrontEnd:
             self._unseated_at.pop(vid, None)
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Rebuild seating/epoch state from a :meth:`snapshot_state` dict.
-        Accepts both compact epoch rows and the v1 per-field dicts."""
+        """Rebuild seating/epoch state from a :meth:`snapshot_state` dict."""
         self._free_rows = list(state["free_rows"])
         heapq.heapify(self._free_rows)
         self._next_fresh_row = state["next_fresh_row"]

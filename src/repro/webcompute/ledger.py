@@ -25,7 +25,6 @@ events on an optional :class:`~repro.webcompute.events.EventBus`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -38,13 +37,12 @@ __all__ = ["VolunteerRecord", "LedgerReport", "AccountabilityLedger", "CounterRN
 
 class CounterRNG:
     """Counter-based (SplitMix64) uniform stream for the verification
-    sample.  A drop-in for the slice of ``random.Random`` the ledger
-    uses (``random()`` plus ``getstate``/``setstate``), with state that
+    sample: ``random()`` plus ``getstate``/``setstate``, with state that
     is two integers -- seed and draw counter -- where Mersenne Twister
-    carries 625 words (~8 KB JSON-encoded), which every checkpoint
-    delta used to ship whenever a draw happened in its window.  The
-    value at draw *n* is a pure function of ``(seed, n)``, so replay
-    from any checkpoint is bit-identical by construction."""
+    carries 625 words (~8 KB JSON-encoded), which every checkpoint delta
+    would ship whenever a draw happened in its window.  The value at draw
+    *n* is a pure function of ``(seed, n)``, so replay from any
+    checkpoint is bit-identical by construction."""
 
     _MASK = (1 << 64) - 1
     _GAMMA = 0x9E3779B97F4A7C15
@@ -54,8 +52,7 @@ class CounterRNG:
         self._counter = 0
 
     def random(self) -> float:
-        """Uniform in [0, 1) with 53 bits of precision (the same
-        resolution ``random.Random.random`` provides)."""
+        """Uniform in [0, 1) with 53 bits of precision."""
         self._counter += 1
         z = (self._seed + self._counter * self._GAMMA) & self._MASK
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
@@ -72,20 +69,18 @@ class CounterRNG:
         self._counter = int(counter)
 
 
-def _decode_record(r: Any) -> VolunteerRecord:
-    """Decode one persisted record: compact 7-tuple ``[volunteer_id, issued,
-    returned, verified, strikes, banned, banned_at]`` or v1 per-field dict."""
-    if isinstance(r, dict):
-        return VolunteerRecord(
-            volunteer_id=r["volunteer_id"],
-            issued=r["issued"],
-            returned=r["returned"],
-            verified=r["verified"],
-            strikes=r["strikes"],
-            banned=r["banned"],
-            banned_at=r["banned_at"],
-        )
-    vid, issued, returned, verified, strikes, banned, banned_at = r
+def _encode_record(r: VolunteerRecord) -> list[Any]:
+    """One record as its persisted 7-tuple ``[volunteer_id, issued,
+    returned, verified, strikes, banned, banned_at]``."""
+    return [
+        r.volunteer_id, r.issued, r.returned, r.verified,
+        r.strikes, r.banned, r.banned_at,
+    ]
+
+
+def _decode_record(row: list[Any]) -> VolunteerRecord:
+    """Invert :func:`_encode_record`."""
+    vid, issued, returned, verified, strikes, banned, banned_at = row
     return VolunteerRecord(
         volunteer_id=vid,
         issued=issued,
@@ -97,23 +92,22 @@ def _decode_record(r: Any) -> VolunteerRecord:
     )
 
 
-def _decode_task(t: Any) -> Task:
-    """Decode one persisted task row: compact 11-tuple ``[index,
-    volunteer_id, serial, issued_at, status, returned_at, reported_result,
-    returned_by, lease_expires_at, reissued_to, reissued_at]`` or v1
-    per-field dict (lease/reissue keys read with defaults so pre-lease
-    snapshots restore unchanged)."""
-    if isinstance(t, dict):
-        fields = (
-            t["index"], t["volunteer_id"], t["serial"], t["issued_at"],
-            t["status"], t["returned_at"], t["reported_result"],
-            t.get("returned_by"), t.get("lease_expires_at"),
-            t.get("reissued_to"), t.get("reissued_at"),
-        )
-    else:
-        fields = tuple(t)
+def _encode_task(t: Task) -> list[Any]:
+    """One task as its persisted 11-tuple ``[index, volunteer_id, serial,
+    issued_at, status, returned_at, reported_result, returned_by,
+    lease_expires_at, reissued_to, reissued_at]``."""
+    return [
+        t.index, t.volunteer_id, t.serial, t.issued_at,
+        t.status.value, t.returned_at, t.reported_result,
+        t.returned_by, t.lease_expires_at, t.reissued_to,
+        t.reissued_at,
+    ]
+
+
+def _decode_task(row: list[Any]) -> Task:
+    """Invert :func:`_encode_task`."""
     (index, vid, serial, issued_at, status, returned_at, reported_result,
-     returned_by, lease_expires_at, reissued_to, reissued_at) = fields
+     returned_by, lease_expires_at, reissued_to, reissued_at) = row
     task = Task(index=index, volunteer_id=vid, serial=serial, issued_at=issued_at)
     task.status = TaskStatus(status)
     task.returned_at = returned_at
@@ -185,10 +179,8 @@ class AccountabilityLedger:
     ban_after_strikes:
         Confirmed-bad results before a volunteer is banned.
     rng:
-        Seeded RNG for the verification sample: a :class:`CounterRNG`
-        (what the engine constructs -- two-integer snapshot state) or a
-        seeded ``random.Random`` (still accepted; its Mersenne state
-        round-trips through snapshots in the legacy encoding).
+        The seeded :class:`CounterRNG` for the verification sample
+        (``CounterRNG(0)`` by default).
     bus:
         Optional :class:`~repro.webcompute.events.EventBus`; every return
         publishes a :class:`~repro.webcompute.events.ResultReturned` and
@@ -199,7 +191,7 @@ class AccountabilityLedger:
         self,
         verification_rate: float = 0.1,
         ban_after_strikes: int = 2,
-        rng: "random.Random | CounterRNG | None" = None,
+        rng: CounterRNG | None = None,
         bus: EventBus | None = None,
         clock: Callable[[], int] | None = None,
     ) -> None:
@@ -219,7 +211,7 @@ class AccountabilityLedger:
         self.verification_rate = verification_rate  # reprolint: allow[R003]
         self.ban_after_strikes = ban_after_strikes  # reprolint: allow[R003]
         self.bus = bus  # reprolint: allow[R003]
-        self._rng = rng if rng is not None else random.Random(0)  # reprolint: allow[R003]
+        self._rng = rng if rng is not None else CounterRNG(0)  # reprolint: allow[R003]
         # on construction; delta bookkeeping is rebuilt by restore_state
         self._clock_fn = clock if clock is not None else (lambda: 0)
         self._tasks: dict[int, Task] = {}
@@ -482,60 +474,27 @@ class AccountabilityLedger:
 
     # -- snapshot / restore state (the persistence seam) ---------------
 
-    def rng_state(self) -> list:
-        """The verification RNG state as a JSON-able list: a
-        ``["counter", seed, draws]`` triple for a :class:`CounterRNG`,
-        or the legacy ``[version, internal, gauss]`` Mersenne encoding
-        for an injected ``random.Random``."""
-        if isinstance(self._rng, CounterRNG):
-            seed, counter = self._rng.getstate()
-            return ["counter", seed, counter]
-        version, internal, gauss = self._rng.getstate()
-        return [version, list(internal), gauss]
+    def rng_state(self) -> list[int]:
+        """The verification RNG state as a JSON-able ``[seed, draws]``."""
+        return list(self._rng.getstate())
 
-    def set_rng_state(self, encoded: list) -> None:
-        """Adopt either encoding, replacing the live RNG when the
-        snapshot was taken under the other kind (old checkpoints stay
-        restorable after the CounterRNG switch, and vice versa)."""
-        if encoded and encoded[0] == "counter":
-            if not isinstance(self._rng, CounterRNG):
-                self._rng = CounterRNG()
-            self._rng.setstate((encoded[1], encoded[2]))
-        else:
-            version, internal, gauss = encoded
-            if isinstance(self._rng, CounterRNG):
-                self._rng = random.Random(0)
-            self._rng.setstate((version, tuple(internal), gauss))
+    def set_rng_state(self, encoded: list[int]) -> None:
+        """Adopt an :meth:`rng_state` list."""
+        self._rng.setstate(encoded)
         self._rng_changed = self._clock_fn()
 
     def snapshot_state(self) -> dict[str, Any]:
         """The ledger's complete persistent state as a JSON-able dict
         (rates and RNG state are snapshot separately by the caller).
-        Records are compact 7-tuples and tasks 11-tuples -- see
-        :func:`_decode_record` / :func:`_decode_task` for the field order
-        (per-field dicts were the v1 format; :meth:`restore_state` accepts
-        both)."""
+        Records are :func:`_encode_record` 7-tuples and tasks
+        :func:`_encode_task` 11-tuples."""
         return {
             "honest_ids": sorted(self._honest_ids),
             "bad_returns": self._bad_returns,
             "bad_caught": self._bad_caught,
             "late_returns": self._late_returns,
-            "records": [
-                [
-                    r.volunteer_id, r.issued, r.returned, r.verified,
-                    r.strikes, r.banned, r.banned_at,
-                ]
-                for r in self.records()
-            ],
-            "tasks": [
-                [
-                    t.index, t.volunteer_id, t.serial, t.issued_at,
-                    t.status.value, t.returned_at, t.reported_result,
-                    t.returned_by, t.lease_expires_at, t.reissued_to,
-                    t.reissued_at,
-                ]
-                for t in self.tasks()
-            ],
+            "records": [_encode_record(r) for r in self.records()],
+            "tasks": [_encode_task(t) for t in self.tasks()],
         }
 
     def snapshot_delta(self, since_tick: int) -> dict[str, Any]:
@@ -553,28 +512,14 @@ class AccountabilityLedger:
                 if t >= since_tick
             ],
             "records": [
-                [
-                    r.volunteer_id, r.issued, r.returned, r.verified,
-                    r.strikes, r.banned, r.banned_at,
-                ]
-                for r in (
-                    self._records[vid]
-                    for vid, t in sorted(self._record_changed.items())
-                    if t >= since_tick
-                )
+                _encode_record(self._records[vid])
+                for vid, t in sorted(self._record_changed.items())
+                if t >= since_tick
             ],
             "tasks": [
-                [
-                    t.index, t.volunteer_id, t.serial, t.issued_at,
-                    t.status.value, t.returned_at, t.reported_result,
-                    t.returned_by, t.lease_expires_at, t.reissued_to,
-                    t.reissued_at,
-                ]
-                for t in (
-                    self._tasks[idx]
-                    for idx, tk in sorted(self._task_changed.items())
-                    if tk >= since_tick
-                )
+                _encode_task(self._tasks[idx])
+                for idx, t in sorted(self._task_changed.items())
+                if t >= since_tick
             ],
         }
         if self._rng_changed >= since_tick:
@@ -607,14 +552,11 @@ class AccountabilityLedger:
             self.set_rng_state(delta["rng_state"])
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Rebuild record/task state from a :meth:`snapshot_state` dict.
-        Accepts both compact tuple rows and v1 per-field dicts (whose
-        lease/reissue keys are read with defaults so pre-lease snapshots
-        restore unchanged)."""
+        """Rebuild record/task state from a :meth:`snapshot_state` dict."""
         self._honest_ids = set(state["honest_ids"])
         self._bad_returns = state["bad_returns"]
         self._bad_caught = state["bad_caught"]
-        self._late_returns = state.get("late_returns", 0)
+        self._late_returns = state["late_returns"]
         self._records = {}
         for r in state["records"]:
             rec = _decode_record(r)

@@ -7,11 +7,13 @@ head also restarts the server; this module serializes the whole
 accountability state -- contracts, epochs, ledger, clock -- to a plain
 JSON-able dict and restores it bit-for-bit.
 
-Layering: each component owns its own persistent representation
-(``snapshot_state`` / ``restore_state`` on the allocator, front end,
-ledger, and engine); this module only *composes* those dicts into the
-versioned envelope.  No private state is touched -- the lint gate keeps
-it that way.
+One format: the stored dict *is*
+:meth:`~repro.webcompute.engine.AllocationEngine.snapshot_state`, so
+``dumps(server)`` is byte-for-byte the base a
+:class:`~repro.webcompute.recovery.CheckpointStore` holds for the same
+engine.  The state names its APF (by registry name), its constructor
+knobs and its format version; nothing wraps it, so nothing can drop a
+key the engine learns to persist.
 
 Scope: the snapshot captures *server* state (what the website must
 remember).  Simulated volunteer behavior objects are reconstructed from
@@ -20,20 +22,6 @@ their profiles; in a real deployment those are remote humans anyway.
 The round-trip guarantee, enforced by tests: after ``restore(snapshot(s))``
 every observable behavior -- next task per volunteer, attribution of any
 historical task, ban status, report counters -- is identical.
-
-Envelope history:
-
-* **v1** re-keyed the engine snapshot field-by-field into a flat layout.
-  That coupling was an *envelope-drift* bug: any state the engine later
-  learned to snapshot was silently dropped by the re-keying, breaking the
-  round-trip guarantee without any test noticing.
-* **v2** delegates wholesale -- ``{"engine": engine.snapshot_state()}``
-  plus the registry name and the constructor knobs.  New engine state
-  flows through untouched, and a completeness test diffs the envelope's
-  engine keys against a live ``snapshot_state()`` to keep it that way.
-  v1 snapshots still load through a migration shim (the components
-  themselves accept both the v1 dict row formats and the v2 compact
-  tuples).
 """
 
 from __future__ import annotations
@@ -44,31 +32,15 @@ from typing import Any
 from repro.apf.base import AdditivePairingFunction
 from repro.core.registry import get_pairing
 from repro.errors import ConfigurationError
+from repro.webcompute.engine import check_state
 from repro.webcompute.server import WBCServer
 
 __all__ = ["snapshot", "restore", "dumps", "loads"]
 
-_FORMAT_VERSION = 2
-
-# The keys a v1 envelope spread flat at the top level; the migration shim
-# re-assembles the engine dict from exactly these (``lease_ticks`` is
-# additive over early v1 and read back with a default).
-_V1_ENGINE_KEYS = (
-    "clock",
-    "max_task_index",
-    "next_volunteer_id",
-    "profiles",
-    "contracts",
-    "frontend",
-    "ledger",
-    "verification_rate",
-    "ban_after_strikes",
-    "rng_state",
-)
-
 
 def snapshot(server: WBCServer) -> dict[str, Any]:
-    """The server's complete persistent state as a JSON-able dict.
+    """The server's complete persistent state: its engine's
+    ``snapshot_state()``.
 
     The APF is stored *by registry name*, so only registry-resolvable
     allocation functions (``apf-sharp``, ``apf-star``, ``apf-bracket-C``,
@@ -77,55 +49,30 @@ def snapshot(server: WBCServer) -> dict[str, Any]:
     producing an unrestorable snapshot.
     """
     engine = server.engine
-    apf_name = engine.apf_name
     try:
-        resolved = get_pairing(apf_name)
+        get_pairing(engine.apf_name)
     except ConfigurationError:
         raise ConfigurationError(
-            f"APF {apf_name!r} is not registry-resolvable; "
+            f"APF {engine.apf_name!r} is not registry-resolvable; "
             "register it before snapshotting"
         ) from None
-    del resolved
-    engine_state = engine.snapshot_state()
-    # Wholesale delegation: whatever the engine snapshots is what the
-    # envelope stores.  The constructor knobs ride along at the top level
-    # because ``restore`` needs them *before* it has an engine to ask.
-    return {
-        "version": _FORMAT_VERSION,
-        "apf": apf_name,
-        "verification_rate": engine_state["verification_rate"],
-        "ban_after_strikes": engine_state["ban_after_strikes"],
-        "lease_ticks": engine_state["lease_ticks"],
-        "engine": engine_state,
-    }
+    return engine.snapshot_state()
 
 
-def _engine_state_of(data: dict[str, Any]) -> dict[str, Any]:
-    """The engine-state dict inside an envelope, migrating v1's flat
-    layout; unknown versions are rejected."""
-    version = data.get("version")
-    if version == 2:
-        return data["engine"]
-    if version == 1:
-        state = {key: data[key] for key in _V1_ENGINE_KEYS}
-        state["lease_ticks"] = data.get("lease_ticks")
-        return state
-    raise ConfigurationError(f"unsupported snapshot version {version!r}")
-
-
-def restore(data: dict[str, Any]) -> WBCServer:
-    """Rebuild a server from a :func:`snapshot` dict (v2 or v1)."""
-    engine_state = _engine_state_of(data)
-    apf = get_pairing(data["apf"])
+def restore(state: dict[str, Any]) -> WBCServer:
+    """Build a server from a :func:`snapshot` dict, configured by the
+    state's own APF and knobs."""
+    check_state(state)
+    apf = get_pairing(state["apf"])
     if not isinstance(apf, AdditivePairingFunction):
-        raise ConfigurationError(f"snapshot APF {data['apf']!r} is not additive")
+        raise ConfigurationError(f"snapshot APF {state['apf']!r} is not additive")
     server = WBCServer(
         apf,
-        verification_rate=data["verification_rate"],
-        ban_after_strikes=data["ban_after_strikes"],
-        lease_ticks=data.get("lease_ticks"),
+        verification_rate=state["verification_rate"],
+        ban_after_strikes=state["ban_after_strikes"],
+        lease_ticks=state["lease_ticks"],
     )
-    server.engine.restore_state(engine_state)
+    server.engine.restore_state(state)
     return server
 
 

@@ -1,8 +1,9 @@
 """Smoke gate for benchmarks/bench_runner.py (marked ``bench_smoke``).
 
-Runs the runner in-process with tiny sizes against a temp output file and
-checks the trajectory-file contract: schema id, run records appended (not
-overwritten), and the always-on kernel-consistency scenario passing.
+Runs the runner in-process once with tiny sizes against a temp output
+file and checks the trajectory-file contract on that run record: schema
+id, run records appended (not overwritten), and the always-on
+kernel-consistency scenario passing.
 """
 
 from __future__ import annotations
@@ -26,10 +27,21 @@ def bench_runner():
     return module
 
 
-def test_smoke_run_writes_schema_and_record(bench_runner, tmp_path):
-    out = tmp_path / "BENCH_eval.json"
+@pytest.fixture(scope="module")
+def smoke_output(bench_runner, tmp_path_factory):
+    """The trajectory file one smoke run of ``main`` wrote."""
+    out = tmp_path_factory.mktemp("smoke") / "BENCH_eval.json"
     assert bench_runner.main(["--smoke", "--repeats", "1", "--output", str(out)]) == 0
-    data = json.loads(out.read_text())
+    return out
+
+
+@pytest.fixture
+def smoke_run(smoke_output):
+    return json.loads(smoke_output.read_text())["runs"][0]
+
+
+def test_smoke_run_writes_schema_and_record(bench_runner, smoke_output):
+    data = json.loads(smoke_output.read_text())
     assert data["schema"] == bench_runner.SCHEMA
     assert len(data["runs"]) == 1
     run = data["runs"][0]
@@ -113,17 +125,17 @@ def test_smoke_run_writes_schema_and_record(bench_runner, tmp_path):
     assert 0 < lint["incremental_reanalyzed"] < lint["files"]
 
 
-def test_trajectory_appends_across_runs(bench_runner, tmp_path):
+def test_trajectory_appends_across_runs(bench_runner, smoke_run, tmp_path):
     out = tmp_path / "BENCH_eval.json"
     for expected in (1, 2):
-        assert bench_runner.main(["--smoke", "--repeats", "1", "--output", str(out)]) == 0
+        bench_runner.append_run(out, smoke_run)
         assert len(json.loads(out.read_text())["runs"]) == expected
 
 
-def test_corrupt_trajectory_is_replaced_not_crashed(bench_runner, tmp_path):
+def test_corrupt_trajectory_is_replaced_not_crashed(bench_runner, smoke_run, tmp_path):
     out = tmp_path / "BENCH_eval.json"
     out.write_text("{not json")
-    assert bench_runner.main(["--smoke", "--repeats", "1", "--output", str(out)]) == 0
+    bench_runner.append_run(out, smoke_run)
     data = json.loads(out.read_text())
     assert data["schema"] == bench_runner.SCHEMA
     assert len(data["runs"]) == 1

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError, DomainError
-from repro.webcompute.ledger import AccountabilityLedger
+from repro.webcompute.ledger import AccountabilityLedger, CounterRNG
 from repro.webcompute.task import Task, TaskStatus, correct_result
 
 
@@ -75,7 +73,7 @@ class TestVerificationSampling:
 
     def test_sampling_rate_roughly_respected(self):
         ledger = AccountabilityLedger(
-            verification_rate=0.3, ban_after_strikes=10**6, rng=random.Random(11)
+            verification_rate=0.3, ban_after_strikes=10**6, rng=CounterRNG(11)
         )
         for i in range(1, 2001):
             ledger.record_issue(make_task(i, 1, serial=i))
@@ -86,7 +84,7 @@ class TestVerificationSampling:
     def test_deterministic_given_rng(self):
         def run():
             ledger = AccountabilityLedger(
-                verification_rate=0.5, rng=random.Random(3)
+                verification_rate=0.5, rng=CounterRNG(3)
             )
             for i in range(1, 101):
                 ledger.record_issue(make_task(i, 1, serial=i))

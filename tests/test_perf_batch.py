@@ -1,7 +1,7 @@
-"""Tests for the exact-safe batch layer (repro.perf.batch) and the guarded
-vectorized kernels behind it.
+"""Tests for the exact-safe batch kernels (``StorageMapping.pair_array`` /
+``unpair_array``) and the rest of the batch layer (repro.perf.batch).
 
-The load-bearing property: ``pair_many``/``unpair_many`` agree with the
+The load-bearing property: ``pair_array``/``unpair_array`` agree with the
 scalar bignum path *everywhere*, including across the 2**53 (float64
 mantissa) and 2**63 (int64) boundaries where naive float kernels go
 silently inexact.
@@ -21,8 +21,8 @@ from repro.core.base import (
 )
 from repro.core.diagonal import DiagonalPairing, DiagonalPairingTwin
 from repro.core.squareshell import SquareShellPairing, SquareShellPairingTwin
-from repro.errors import ConfigurationError, DomainError
-from repro.perf.batch import pair_many, spread_many, unpair_many, vectorization_window
+from repro.errors import DomainError
+from repro.perf.batch import spread_many, vectorization_window
 
 FAST_MAPPINGS = [
     DiagonalPairing,
@@ -52,7 +52,7 @@ class TestPairMany:
     def test_in_window_matches_scalar_and_stays_int64(self, fast_pairing):
         xs = np.arange(1, 200, dtype=np.int64)
         ys = xs[::-1].copy()
-        got = pair_many(fast_pairing, xs, ys)
+        got = fast_pairing.pair_array(xs, ys)
         assert got.dtype == np.int64
         for x, y, z in zip(xs, ys, got):
             assert int(z) == fast_pairing.pair(int(x), int(y))
@@ -60,46 +60,42 @@ class TestPairMany:
     def test_out_of_window_coords_fall_back_exactly(self, fast_pairing):
         xs = [1, EXACT_SAFE_COORD_LIMIT, EXACT_SAFE_COORD_LIMIT + 1, 2**40]
         ys = [2**40, 3, EXACT_SAFE_COORD_LIMIT + 1, 1]
-        got = pair_many(fast_pairing, xs, ys)
+        got = fast_pairing.pair_array(xs, ys)
         for x, y, z in zip(xs, ys, got.reshape(-1)):
             assert int(z) == fast_pairing.pair(x, y)
 
     def test_broadcasting(self, fast_pairing):
-        got = pair_many(fast_pairing, [3], [1, 2, 3])
+        got = fast_pairing.pair_array([3], [1, 2, 3])
         assert [int(z) for z in got.reshape(-1)] == [
             fast_pairing.pair(3, y) for y in (1, 2, 3)
         ]
 
     def test_rejects_nonpositive(self, fast_pairing):
         with pytest.raises(DomainError):
-            pair_many(fast_pairing, [1, 0], [1, 1])
+            fast_pairing.pair_array([1, 0], [1, 1])
 
     def test_empty_batch(self, fast_pairing):
-        got = pair_many(fast_pairing, np.array([], dtype=np.int64), [])
+        got = fast_pairing.pair_array(np.array([], dtype=np.int64), [])
         assert got.size == 0
 
     def test_apf_uses_object_path(self):
         pf = TSharp()
-        got = pair_many(pf, [1, 2, 3], [3, 2, 1])
+        got = pf.pair_array([1, 2, 3], [3, 2, 1])
         assert [int(z) for z in got.reshape(-1)] == [
             pf.pair(x, y) for x, y in [(1, 3), (2, 2), (3, 1)]
         ]
 
-    def test_rejects_non_mapping(self):
-        with pytest.raises(ConfigurationError):
-            pair_many(object(), [1], [1])
-
 
 class TestUnpairMany:
     def test_boundary_addresses_match_scalar(self, fast_pairing):
-        xs, ys = unpair_many(fast_pairing, BOUNDARY_ZS)
+        xs, ys = fast_pairing.unpair_array(BOUNDARY_ZS)
         for z, x, y in zip(BOUNDARY_ZS, xs.reshape(-1), ys.reshape(-1)):
             assert (int(x), int(y)) == fast_pairing.unpair(z)
             assert fast_pairing.pair(int(x), int(y)) == z  # exact roundtrip
 
     def test_in_window_int64_batch_stays_int64(self, fast_pairing):
         zs = np.arange(1, 500, dtype=np.int64)
-        xs, ys = unpair_many(fast_pairing, zs)
+        xs, ys = fast_pairing.unpair_array(zs)
         assert xs.dtype == np.int64 and ys.dtype == np.int64
         for z, x, y in zip(zs, xs, ys):
             assert (int(x), int(y)) == fast_pairing.unpair(int(z))
@@ -110,25 +106,25 @@ class TestUnpairMany:
         # down to 2**63 *before* dispatch -- a silent wrong answer.  The
         # dispatcher must re-read such lists exactly.
         zs = [1, 2**63, 2**63 + 1]
-        xs, ys = unpair_many(fast_pairing, zs)
+        xs, ys = fast_pairing.unpair_array(zs)
         for z, x, y in zip(zs, xs.reshape(-1), ys.reshape(-1)):
             assert (int(x), int(y)) == fast_pairing.unpair(z)
             assert fast_pairing.pair(int(x), int(y)) == z
 
     def test_mixed_bignum_batch_splits_correctly(self, fast_pairing):
         zs = [5, 2**60, 17, 2**90]
-        xs, ys = unpair_many(fast_pairing, zs)
+        xs, ys = fast_pairing.unpair_array(zs)
         for z, x, y in zip(zs, xs.reshape(-1), ys.reshape(-1)):
             assert (int(x), int(y)) == fast_pairing.unpair(z)
 
     def test_rejects_invalid_elements(self, fast_pairing):
         with pytest.raises(DomainError):
-            unpair_many(fast_pairing, [1, 0, 3])
+            fast_pairing.unpair_array([1, 0, 3])
         with pytest.raises(DomainError):
-            unpair_many(fast_pairing, [1, 2.5])
+            fast_pairing.unpair_array([1, 2.5])
 
     def test_empty_batch(self, fast_pairing):
-        xs, ys = unpair_many(fast_pairing, [])
+        xs, ys = fast_pairing.unpair_array([])
         assert xs.size == 0 and ys.size == 0
 
     @given(
@@ -148,7 +144,7 @@ class TestUnpairMany:
     def test_property_agrees_with_scalar(self, zs):
         for cls in (DiagonalPairing, SquareShellPairing):
             pf = cls()
-            xs, ys = unpair_many(pf, zs)
+            xs, ys = pf.unpair_array(zs)
             for z, x, y in zip(zs, xs.reshape(-1), ys.reshape(-1)):
                 assert (int(x), int(y)) == pf.unpair(z)
 

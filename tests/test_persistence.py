@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.apf.constructor import ConstructedAPF
 from repro.apf.families import LinearCopyIndex, TSharp, TStar
 from repro.errors import ConfigurationError
+from repro.webcompute.engine import AllocationEngine
 from repro.webcompute.persistence import dumps, loads, restore, snapshot
+from repro.webcompute.recovery import CheckpointStore
 from repro.webcompute.server import WBCServer
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 
@@ -110,105 +114,36 @@ class TestValidation:
         assert restored.allocator.apf.name == "apf-star"
         assert restored.attribute(t.index) == vid
 
-def as_v1_envelope(data: dict) -> dict:
-    """Down-convert a v2 envelope to the exact v1 on-disk layout: flat
-    engine keys at the top level, component rows as the old field-named
-    dicts (what PR 5's ``snapshot`` wrote)."""
-    eng = data["engine"]
-    out = {"version": 1, "apf": data["apf"]}
-    for key in (
-        "clock",
-        "max_task_index",
-        "next_volunteer_id",
-        "lease_ticks",
-        "verification_rate",
-        "ban_after_strikes",
-        "rng_state",
-        "profiles",
-    ):
-        out[key] = eng[key]
-    out["contracts"] = [
-        dict(zip(("row", "base", "stride", "next_serial"), c))
-        for c in eng["contracts"]
-    ]
-    fe = dict(eng["frontend"])
-    fe["epochs"] = {
-        row: [
-            dict(zip(("volunteer_id", "first_serial", "last_serial"), e))
-            for e in epochs
-        ]
-        for row, epochs in fe["epochs"].items()
-    }
-    out["frontend"] = fe
-    ld = dict(eng["ledger"])
-    ld["records"] = [
-        dict(
-            zip(
-                (
-                    "volunteer_id",
-                    "issued",
-                    "returned",
-                    "verified",
-                    "strikes",
-                    "banned",
-                    "banned_at",
-                ),
-                r,
-            )
-        )
-        for r in ld["records"]
-    ]
-    ld["tasks"] = [
-        dict(
-            zip(
-                (
-                    "index",
-                    "volunteer_id",
-                    "serial",
-                    "issued_at",
-                    "status",
-                    "returned_at",
-                    "reported_result",
-                    "returned_by",
-                    "lease_expires_at",
-                    "reissued_to",
-                    "reissued_at",
-                ),
-                t,
-            )
-        )
-        for t in ld["tasks"]
-    ]
-    out["ledger"] = ld
-    return out
+    def test_engine_rejects_state_of_another_apf(self):
+        state = snapshot(busy_server())
+        engine = AllocationEngine(TStar())
+        with pytest.raises(ConfigurationError, match="apf-sharp"):
+            engine.restore_state(state)
+        assert engine.clock == 0 and engine.seated_count == 0
 
+    @pytest.mark.parametrize("key", ["contracts", "frontend", "ledger", "rng_state"])
+    def test_engine_rejects_state_missing_a_key(self, key):
+        state = snapshot(busy_server())
+        del state[key]
+        engine = AllocationEngine(TSharp())
+        with pytest.raises(ConfigurationError, match=key):
+            engine.restore_state(state)
+        assert engine.clock == 0 and engine.seated_count == 0
 
 class TestEnvelopeV2:
-    def test_v1_snapshot_loads_via_shim(self):
-        # A snapshot written by the PR 5 envelope (flat keys, dict rows)
-        # restores to the same server the v2 envelope produces.
-        server = busy_server()
-        v2 = snapshot(server)
-        restored = restore(as_v1_envelope(v2))
-        assert snapshot(restored) == v2
-
-    def test_v1_restores_identical_behavior(self):
-        server = busy_server()
-        restored = restore(as_v1_envelope(snapshot(server)))
-        assert restored.report() == server.report()
-        for task in server.ledger.tasks():
-            assert restored.attribute(task.index) == server.attribute(task.index)
-        assert restored.request_task(1).index == server.request_task(1).index
+    """The envelope-drift pins.  A wrapper around the engine state could
+    drop a key the engine later learns to persist; the stored format is
+    the engine state itself, byte-for-byte what a shard checkpoint
+    stores, so there is no wrapper left to drift."""
 
     def test_envelope_carries_every_engine_key(self):
-        # The envelope-drift regression: v1 re-keyed the engine snapshot
-        # field-by-field, silently dropping any state the engine later
-        # learned to persist.  v2 must delegate wholesale -- key set
-        # equality with a live snapshot_state() catches the next drift.
         server = busy_server()
-        data = snapshot(server)
-        assert set(data["engine"]) == set(server.engine.snapshot_state())
+        assert set(json.loads(dumps(server))) == set(server.engine.snapshot_state())
 
     def test_envelope_engine_state_verbatim(self):
         server = busy_server()
-        assert snapshot(server)["engine"] == server.engine.snapshot_state()
+        store = CheckpointStore()
+        store.checkpoint(server.engine)
+        text = dumps(server)
+        assert store.base_state() == json.loads(text)
+        assert store.base_bytes == len(text)

@@ -197,21 +197,6 @@ class TestEngineSnapshotRegression:
         restored.restore_state(json.loads(json.dumps(state)))
         assert restored.snapshot_state() == state
 
-    def test_scalar_only_state_still_restores(self):
-        """Backward compat: the pre-fix scalar dict (no component keys)
-        must still be accepted -- component state is simply left as-is."""
-        engine = self.make_engine()
-        engine.restore_state(
-            {
-                "clock": 7,
-                "max_task_index": 0,
-                "next_volunteer_id": 5,
-                "profiles": {},
-            }
-        )
-        assert engine.clock == 7
-        assert engine.next_volunteer_id == 5
-
 
 class TestCheckpointStore:
     def test_latest_without_checkpoint_raises(self):

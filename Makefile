@@ -17,7 +17,7 @@ lint-cold:  ## full re-analysis, ignoring and not writing the cache
 	$(PYTHON) -m repro.cli lint --no-cache src
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 bench:  ## the end-to-end benchmark: all five workloads, ~15 s each
 	python3 benchmarks/e2e/run.py

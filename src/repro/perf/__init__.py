@@ -14,8 +14,8 @@ side:
   kernels declare).
 
 Regression tracking lives in ``benchmarks/bench_runner.py``, which runs
-the evaluation-speed and spread-compactness scenarios and appends the
-results to ``benchmarks/BENCH_eval.json``.
+the evaluation-speed, batch-speed and spread-compactness scenarios and
+appends the results to ``benchmarks/BENCH_eval.json``.
 """
 
 from __future__ import annotations

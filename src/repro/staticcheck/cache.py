@@ -18,9 +18,7 @@ call ref, or anything in their reverse-*call* closure.  The checkers
 now really do have cross-module eyes (summaries flow through
 ``ProjectSummaries``), so this is the exact dependency set -- a
 comment-only edit dirties zero functions and re-analyzes one file,
-where the v2 reverse-*import* closure re-analyzed 14.  The v2 closure
-(``dirty_closure`` over the ``imports`` field) is kept as the bench's
-point of comparison.
+where the v2 reverse-*import* closure re-analyzed 14.
 
 v4 cuts the reverse-call closure with a **summary delta**: what a
 caller's analysis actually consumed from a callee is its fixpoint
@@ -33,8 +31,8 @@ the summary identical (renamed local, reordered statements, new
 logging) re-analyzes exactly the edited file, where the v3 closure
 walked every transitive caller.  ``skipped_by_summary`` counts the
 functions the v3 closure would have dirtied that the delta skipped,
-and ``closure_files`` what the v3 plan would have re-analyzed -- the
-bench's point of comparison.  The new fixpoint rides back on the plan
+and ``closure_files`` what the v3 plan would have re-analyzed; the run's
+cache stats report both.  The new fixpoint rides back on the plan
 so the runner never solves it twice.
 
 Safety rails, each of which discards the cache wholesale rather than
@@ -79,7 +77,6 @@ __all__ = [
     "CACHE_SCHEMA",
     "config_hash",
     "content_hash",
-    "dirty_closure",
 ]
 
 CACHE_FILENAME = ".reprolint-cache.json"
@@ -236,45 +233,6 @@ class CachedFile:
                 for name, role, tag, line in data.get("grammar", ())
             ),
         )
-
-
-def _imports_module(target: str, module: str) -> bool:
-    """Whether an import of *target* depends on *module*.  Exact match,
-    plus both prefix directions: importing ``pkg.sub`` executes ``pkg``'s
-    ``__init__`` on the way down, and ``from pkg import sub`` records
-    only ``pkg`` while really binding ``pkg.sub``."""
-    return (
-        target == module
-        or target.startswith(module + ".")
-        or module.startswith(target + ".")
-    )
-
-
-def dirty_closure(
-    changed_modules: set[str],
-    clean: Mapping[str, tuple[str, tuple[str, ...]]],
-) -> set[str]:
-    """The reverse-import transitive closure: which of the *clean* files
-    (path -> ``(module, imports)``) must be re-analyzed because their
-    transitive imports reach a module in *changed_modules*.  Fixpoint
-    iteration -- the graph is small (one node per file)."""
-    dirty: set[str] = set()
-    modules = set(changed_modules)
-    progress = True
-    while progress:
-        progress = False
-        for path, (module, imports) in clean.items():
-            if path in dirty:
-                continue
-            if any(
-                _imports_module(target, changed)
-                for target in imports
-                for changed in modules
-            ):
-                dirty.add(path)
-                modules.add(module)
-                progress = True
-    return dirty
 
 
 class AnalysisCache:

@@ -17,11 +17,12 @@ therefore an explicit allowlist over the shell-walking families, plus
 the parameterized ``binprop-B`` ratios resolved through the core
 registry.
 
-The interesting tradeoff (measured by the ``codec_shootout`` benchmark
-scenario): square shells charge ``~max(S, local)**2`` global addresses,
-while a binary-proportional composer with ratio ``b`` charges
-``~local**2 / b`` once ``local`` dominates -- ``log2(b)`` bits of index
-width won back for the common few-shards/many-tasks workload.
+The interesting tradeoff (pinned by
+``tests/test_pf_contract.py::TestCodecSwapDifferential``): square
+shells charge ``~max(S, local)**2`` global addresses, while a
+binary-proportional composer with ratio ``b`` charges ``~local**2 / b``
+once ``local`` dominates -- ``log2(b)`` bits of index width won back for
+the common few-shards/many-tasks workload.
 """
 
 from __future__ import annotations

@@ -364,10 +364,6 @@ class _RemoteFrontend:
     def seated_volunteers(self):
         return self._shard._call("seated_volunteers")
 
-    def row_of(self, volunteer_id: int) -> int:
-        return self._shard._call("row_of", volunteer_id)
-
-
 
 class _RemoteLedger:
     """Read-only ledger facade of a worker-hosted engine."""
@@ -665,35 +661,27 @@ class ShardedWBCServer:
     def _mark_host_dead(self, handle: _Host) -> ShardDownError:
         """A host's worker process died: every live shard it hosted is
         now crashed (their in-memory engines are genuinely gone), exactly
-        as if :meth:`crash_shard` had been called on each.  Returns the
-        transient error for the caller to raise or swallow.  (Only
-        process hosts die.)"""
+        as if :meth:`crash_shard` had been called on each, and every
+        restoring shard it hosted is plain-down again (the half-rebuilt
+        engine died with the process; a fresh restore starts from the
+        store).  Returns the transient error for the caller to raise or
+        swallow.  (Only process hosts die.)"""
         downed: list[int] = []
         if handle in self._hosts:
             for shard in self._hosted_by(self._hosts.index(handle)):
-                if self._alive[shard]:
-                    pending = self._stores[shard].pending_ops
-                    self.engines[shard] = _DeadShard(shard)  # type: ignore[assignment]
-                    self._alive[shard] = False
-                    self.bus.publish(
-                        ShardCrashed(
-                            tick=self._clock, shard=shard, pending_ops=pending
-                        )
+                if not self._alive[shard] and shard not in self._restoring:
+                    continue
+                self._alive[shard] = False
+                self._restoring.pop(shard, None)
+                self.engines[shard] = _DeadShard(shard)  # type: ignore[assignment]
+                self.bus.publish(
+                    ShardCrashed(
+                        tick=self._clock,
+                        shard=shard,
+                        pending_ops=self._stores[shard].pending_ops,
                     )
-                    downed.append(shard)
-                elif shard in self._restoring:
-                    # The half-rebuilt engine died with its process: back
-                    # to plain-down; a fresh restore starts from the store.
-                    self._restoring.pop(shard, None)
-                    self.engines[shard] = _DeadShard(shard)  # type: ignore[assignment]
-                    self.bus.publish(
-                        ShardCrashed(
-                            tick=self._clock,
-                            shard=shard,
-                            pending_ops=self._stores[shard].pending_ops,
-                        )
-                    )
-                    downed.append(shard)
+                )
+                downed.append(shard)
         return ShardDownError(
             f"worker process died; shards {downed} crashed -- restore them "
             "and retry"
@@ -945,7 +933,8 @@ class ShardedWBCServer:
     def begin_restore(self, shard: int) -> None:
         """Start a *streaming* restore of a crashed shard: restore the
         base checkpoint into a fresh engine in the shard's host, queue
-        the log's delta segments and journaled ops for replay, and install the ``RESTORING`` sentinel -- the shard immediately
+        the log's delta segments and journaled ops for replay, and
+        install the ``RESTORING`` sentinel -- the shard immediately
         serves registrations (buffered onto the replay queue) while
         everything else keeps failing with the transient
         :class:`~repro.errors.ShardDownError`.  Drive the replay with
@@ -994,8 +983,18 @@ class ShardedWBCServer:
         passed, shard alive again.  A replay divergence aborts the
         restore (the half-rebuilt engine is discarded; the shard is
         plain-down again) and raises
-        :class:`~repro.errors.RecoveryError`."""
+        :class:`~repro.errors.RecoveryError`.  A *max_items* that is
+        neither ``None`` nor a positive int could never drain the queue,
+        so it raises :class:`~repro.errors.ConfigurationError`."""
         self._check_shard(shard)
+        if max_items is not None and (
+            isinstance(max_items, bool)
+            or not isinstance(max_items, int)
+            or max_items <= 0
+        ):
+            raise ConfigurationError(
+                f"max_items must be a positive int or None, got {max_items!r}"
+            )
         session = self._restoring.get(shard)
         if session is None:
             raise RecoveryError(f"shard {shard} is not restoring")
@@ -1374,9 +1373,7 @@ class ShardedWBCServer:
         """Whether the strike policy banned *volunteer_id*.  Unknown ids
         are simply not banned (``False``); a volunteer whose shard is
         down raises the clear retry-after-restore
-        :class:`~repro.errors.ShardDownError` via :meth:`engine_of`
-        (previously this indexed the engine list directly and tripped
-        the dead-shard sentinel's obscure attribute-access message).  The
+        :class:`~repro.errors.ShardDownError` via :meth:`engine_of`.  The
         answer comes from the ban mirror, which the published
         ``VolunteerBanned`` stream keeps fresh."""
         if volunteer_id not in self._shard_of:

@@ -136,7 +136,6 @@ _QUERIES = {
     "snapshot_state": lambda e: e.snapshot_state(),
     "snapshot_delta": lambda e, since: e.snapshot_delta(since),
     "seated_volunteers": lambda e: e.frontend.seated_volunteers(),
-    "row_of": lambda e, vid: e.frontend.row_of(vid),
 }
 
 

@@ -28,8 +28,9 @@ Five invariant layers:
    one of the inverses is wrong).
 5. **Codec-swap differentials** -- a 16-shard simulation completes the
    *identical* ``SimulationOutcome`` under every registered index codec
-   (only the minted ``max_task_index`` may move), and direct server
-   attribution never misnames a volunteer under any codec.
+   (only the minted ``max_task_index`` may move), binprop-16 mints no
+   wider indices than square-shell, and direct server attribution never
+   misnames a volunteer under any codec.
 """
 
 from __future__ import annotations
@@ -369,13 +370,14 @@ def _masked(outcome):
 class TestCodecSwapDifferential:
     SEEDS = (11, 2002)
 
-    def _run(self, codec: str, seed: int):
+    def _run(self, codec: str, seed: int, ticks=25, volunteers=10, **knobs):
         config = SimulationConfig(
-            ticks=25,
-            initial_volunteers=10,
+            ticks=ticks,
+            initial_volunteers=volunteers,
             seed=seed,
             shards=16,
             codec=codec,
+            **knobs,
         )
         sim = WBCSimulation(TSharp(), config)
         try:
@@ -394,6 +396,19 @@ class TestCodecSwapDifferential:
             assert _masked(outcome) == _masked(baseline), (
                 f"codec {codec} changed simulation behaviour at seed {seed}"
             )
+
+    def test_binprop_16_no_wider_than_square_shell(self):
+        """The ratio-16 binary-proportional composer (arXiv:1809.06876)
+        is tuned for the few-shards/many-tasks shape; shrinking the
+        global-index footprint is why the codec seam exists, so a
+        binprop-16 index wider than square-shell's is a regression."""
+        bits = {
+            codec: self._run(
+                codec, 2002, ticks=160, volunteers=40, departure_rate=0.01
+            ).max_task_index.bit_length()
+            for codec in ("square-shell", "binprop-16")
+        }
+        assert bits["binprop-16"] <= bits["square-shell"], bits
 
     @pytest.mark.parametrize("codec", available_codecs())
     def test_attribution_never_misnames_a_volunteer(self, codec):

@@ -1,6 +1,6 @@
 """The incremental cache and the parallel runner: correctness first
 (cached results are byte-identical to cold results), then the
-invalidation semantics (content hash, config hash, reverse-import
+invalidation semantics (content hash, config hash, reverse-call
 closure), then the escape hatches (``--no-cache``, corrupt cache files,
 deleted files)."""
 
@@ -17,7 +17,6 @@ from repro.staticcheck.cache import (
     CACHE_SCHEMA,
     AnalysisCache,
     config_hash,
-    dirty_closure,
 )
 from repro.staticcheck.config import ReprolintConfig
 from repro.staticcheck.model import ANALYZER_VERSION, Finding
@@ -167,15 +166,6 @@ class TestInvalidation:
         assert result.cache_stats.hits == 4
         raw = json.loads((project / CACHE_FILENAME).read_text())
         assert not any(path.endswith("solo.py") for path in raw["files"])
-
-    def test_dirty_closure_is_transitive(self):
-        clean = {
-            "a": ("pkg.a", ("pkg.b",)),
-            "b": ("pkg.b", ("pkg.c",)),
-            "d": ("pkg.d", ()),
-        }
-        assert dirty_closure({"pkg.c"}, clean) == {"a", "b"}
-        assert dirty_closure({"pkg.d"}, clean) == set()
 
 
 class TestEscapeHatches:

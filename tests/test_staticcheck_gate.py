@@ -1,6 +1,6 @@
 """The tier-1 reprolint gate: the shipped tree is clean.
 
-Three guarantees:
+Four guarantees:
 
 * ``analyze_paths(src/)`` with the repo's own ``[tool.reprolint]``
   config reports zero unsuppressed findings;
@@ -8,7 +8,12 @@ Three guarantees:
   R000 meta-rule turns any stale one into a finding, so deleting a
   violation without deleting its waiver (or vice versa) fails this gate;
 * the CLI entry points (``python -m repro.staticcheck``, ``repro-pf
-  lint``) agree with the library call.
+  lint``) agree with the library call;
+* a warm run on an unchanged tree reloads every file from the cache and
+  is at least 5x faster than the cold run that filled it.
+
+The cold run over ``src/`` is the expensive part, so it runs once per
+module (with a fresh cache) and the tests share it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,10 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from repro.staticcheck import ReprolintConfig, analyze_paths
 
@@ -25,20 +33,53 @@ SRC = REPO_ROOT / "src"
 ENGINE = SRC / "repro" / "webcompute" / "engine.py"
 
 
+def _timed(fn):
+    started = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - started
+
+
+@pytest.fixture(scope="module")
+def src_runs(tmp_path_factory):
+    """``(cold, cold_s, warm, warm_s)``: one cold analysis of ``src/``
+    that fills a fresh cache, then one warm run on that cache."""
+    cache_path = tmp_path_factory.mktemp("reprolint") / "cache.json"
+
+    def run():
+        return analyze_paths([SRC], cache=True, cache_path=cache_path)
+
+    cold, cold_s = _timed(run)
+    warm, warm_s = _timed(run)
+    return cold, cold_s, warm, warm_s
+
+
 class TestGate:
-    def test_src_tree_is_clean(self):
-        result = analyze_paths([SRC])
+    def test_src_tree_is_clean(self, src_runs):
+        result = src_runs[0]
         assert result.files >= 80, "analyzer scope shrank suspiciously"
         assert result.ok, "\n".join(f.render() for f in result.findings)
 
-    def test_suppressions_are_present_and_counted(self):
+    def test_suppressions_are_present_and_counted(self, src_runs):
         # The cleanup pass shipped a reviewed waiver set; if this number
         # drifts, either a violation was silently added under an existing
         # waiver's wing or a waiver disappeared without this test knowing.
-        result = analyze_paths([SRC])
+        result = src_runs[0]
         sites = {(f.path, line) for f, line in result.suppressed}
         assert len(sites) >= 15, sorted(sites)
         assert len(result.suppressed) >= 20
+        assert sum(result.suppressed_counts_by_rule().values()) == len(
+            result.suppressed
+        )
+
+    def test_warm_cache_reloads_everything_5x_faster(self, src_runs):
+        cold, cold_s, warm, warm_s = src_runs
+        assert cold.cache_stats.misses == cold.files
+        assert warm.cache_stats.hit_rate == 1.0
+        assert [f.render() for f in warm.findings] == [
+            f.render() for f in cold.findings
+        ]
+        assert len(warm.suppressed) == len(cold.suppressed)
+        assert cold_s >= 5 * warm_s, f"cold {cold_s:.3f} s, warm {warm_s:.3f} s"
 
     def test_every_suppression_is_load_bearing(self):
         # Strip every allow comment from a copy of engine.py: the

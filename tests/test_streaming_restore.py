@@ -24,7 +24,7 @@ import json
 import pytest
 
 from repro.apf.families import TSharp
-from repro.errors import RecoveryError, ShardDownError
+from repro.errors import ConfigurationError, RecoveryError, ShardDownError
 from repro.webcompute.events import CheckpointTaken, ShardRestored, ShardRestoring
 from repro.webcompute.recovery import replay
 from repro.webcompute.sharding import ShardedWBCServer
@@ -212,6 +212,23 @@ class TestDegradedService:
             assert not server.is_shard_restoring(1)
             assert not server.is_shard_alive(1)
 
+    @pytest.mark.parametrize("max_items", [0, -1, True, 1.5])
+    def test_restore_step_rejects_a_stuck_step(self, max_items):
+        server = make_server()
+        vids = server.register_round(
+            [VolunteerProfile(f"v{i}") for i in range(6)]
+        )
+        drive(server, vids)
+        server.crash_shard(1)
+        server.begin_restore(1)
+        queued = len(server._restoring[1].queue)
+        assert queued > 0
+        with pytest.raises(ConfigurationError, match="max_items"):
+            server.restore_step(1, max_items=max_items)
+        assert len(server._restoring[1].queue) == queued
+        assert server.restore_step(1)
+        assert server.is_shard_alive(1)
+
     def test_double_begin_rejected(self):
         server = make_server()
         vids = server.register_round(
@@ -273,3 +290,32 @@ class TestIncrementalCheckpoints:
         store = server._stores[0]
         assert store.segment_count == 1
         assert store.segment_bytes[0] < store.base_bytes
+
+    @pytest.mark.parametrize("shards", [1, 4, 16])
+    def test_epoch_delta_is_at_most_a_tenth(self, shards):
+        """At 32 volunteers and 240 ticks of history, one epoch of delta
+        persists <= 10% of a fresh full base: long-lived per-shard task
+        history dwarfs the fixed serialization floor, so the fraction
+        measures the protocol, not the floor."""
+        server = ShardedWBCServer(
+            TSharp(),
+            shards=shards,
+            verification_rate=0.2,
+            seed=2002,
+            lease_ticks=8,
+            compact_every=None,
+        )
+        vids = server.register_round(
+            [
+                VolunteerProfile(f"v{i}", speed=1.0 + (i % 5) * 0.4)
+                for i in range(32)
+            ]
+        )
+        drive(server, vids, rounds=240)
+        for shard in range(shards):
+            server.checkpoint_shard(shard, full=True)
+        drive(server, vids, rounds=1)
+        server.checkpoint_shard(0)
+        store = server._stores[0]
+        delta, base = store.segment_bytes[-1], store.base_bytes
+        assert 0 < delta <= 0.10 * base, f"{delta} of {base} bytes"

@@ -214,9 +214,13 @@ def scenario_shard_scaling(smoke: bool, repeats: int) -> dict:
     parallel (``workers=min(shards, cpus)`` worker processes).  Each row
     records throughput (tasks completed per second of ``run()`` wall time;
     worker spawn/teardown is deliberately outside the timed region), the
-    global-index footprint of the square-shell composition, and -- always
-    -- zero attribution failures.  Two hard gates ride along, same
-    contract as the kernel-consistency gate: a nonzero attribution-failure
+    global-index footprint of the default codec's composition, and --
+    always -- zero attribution failures.  Every row, ``serial_1``
+    included, runs a
+    :class:`~repro.webcompute.sharding.ShardedWBCServer` over
+    :data:`~repro.webcompute.codecs.DEFAULT_CODEC`, so the 1-shard rows
+    compare the execution modes like for like.  Two hard gates ride
+    along, same contract as the kernel-consistency gate: a nonzero attribution-failure
     count raises, and a parallel row whose ``tasks_completed`` differs
     from its serial twin raises (the pool must be a bit-identical
     execution mode, not an approximation).  The recorded ``cpus`` lets
@@ -225,6 +229,7 @@ def scenario_shard_scaling(smoke: bool, repeats: int) -> dict:
     import os
 
     from repro.apf.families import TSharp
+    from repro.webcompute.codecs import DEFAULT_CODEC
     from repro.webcompute.simulation import SimulationConfig, WBCSimulation
 
     ticks = 40 if smoke else 200
@@ -241,6 +246,7 @@ def scenario_shard_scaling(smoke: bool, repeats: int) -> dict:
                 departure_rate=0.01,
                 shards=shards,
                 workers=workers,
+                codec=DEFAULT_CODEC,
             )
             outcome = None
             wall_s = float("inf")

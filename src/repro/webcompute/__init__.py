@@ -10,10 +10,11 @@
 * :mod:`~repro.webcompute.events` -- the typed event bus every state
   transition publishes on (the observability layer);
 * :mod:`~repro.webcompute.engine` -- the allocation/attribution core
-  (allocator + front end + ledger behind a narrow interface);
-* :mod:`~repro.webcompute.server` -- the single-engine service facade;
+  (allocator + front end + ledger behind a narrow interface), and
+  ``WBCServer``, one engine run as the whole service;
 * :mod:`~repro.webcompute.sharding` -- S engine shards behind one global
-  index space composed with the square-shell pairing function;
+  index space composed with a named pairing function (square shell by
+  default), registrations routed round-robin;
 * :mod:`~repro.webcompute.simulation` -- seeded project runs, APF-family
   and shard-scaling comparisons;
 * :mod:`~repro.webcompute.replication` -- the majority-vote replication
@@ -61,7 +62,7 @@ from repro.webcompute.events import (
     VolunteerDeparted,
     VolunteerRegistered,
 )
-from repro.webcompute.engine import AllocationEngine, IndexCodec
+from repro.webcompute.engine import AllocationEngine, IndexCodec, WBCServer
 from repro.webcompute.faults import FaultInjector, FaultSpec, ReturnFate, ScheduledFault
 from repro.webcompute.recovery import (
     Backoff,
@@ -79,15 +80,8 @@ from repro.webcompute.metrics import (
     volunteer_forensics,
 )
 from repro.webcompute.persistence import dumps, loads, restore, snapshot
-from repro.webcompute.server import WBCServer
 from repro.webcompute.shardworker import EngineSpec, WorkerDiedError, WorkerHandle
-from repro.webcompute.sharding import (
-    AttributionPath,
-    LeastLoadedPolicy,
-    RoundRobinPolicy,
-    ShardPolicy,
-    ShardedWBCServer,
-)
+from repro.webcompute.sharding import AttributionPath, ShardedWBCServer
 from repro.webcompute.simulation import (
     SimulationConfig,
     SimulationOutcome,
@@ -144,9 +138,6 @@ __all__ = [
     "WorkerDiedError",
     "WorkerHandle",
     "ShardedWBCServer",
-    "ShardPolicy",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
     "AttributionPath",
     "snapshot",
     "AccountabilityMetrics",

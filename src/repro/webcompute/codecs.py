@@ -4,8 +4,8 @@ A *codec* here is a composer: a true
 :class:`~repro.core.base.PairingFunction` that folds
 ``(shard_no, local_index)`` into one global task index (and back, for
 attribution).  :class:`~repro.webcompute.sharding.ShardedWBCServer`
-accepts either a ``composer`` instance or -- through this registry -- a
-``codec`` *name*, which is what the CLI (``wbc --codec``) and
+takes a ``codec`` *name*, resolved through this registry, which is what
+the CLI (``wbc --codec``) and
 :class:`~repro.webcompute.simulation.SimulationConfig` plumb through.
 
 Not every registered mapping qualifies: a composer must be a bijection

@@ -23,8 +23,8 @@ excluded from the timeline rather than silently polluting the ordering.
 All metrics derive from the ledger's task records and the simulation's
 ground truth; they feed the verification-rate tradeoff study in
 ``bench_wbc_accountability.py``.  The functions accept a
-:class:`~repro.webcompute.server.WBCServer`, a bare
-:class:`~repro.webcompute.engine.AllocationEngine`, or a
+:class:`~repro.webcompute.engine.WBCServer` (or any
+:class:`~repro.webcompute.engine.AllocationEngine`), or a
 :class:`~repro.webcompute.sharding.ShardedWBCServer` (whose per-shard
 ledgers are aggregated).  For *live* observation, subscribe an
 :class:`~repro.webcompute.events.EventCounters` to the server's bus

@@ -32,15 +32,13 @@ from typing import Any
 from repro.apf.base import AdditivePairingFunction
 from repro.core.registry import get_pairing
 from repro.errors import ConfigurationError
-from repro.webcompute.engine import check_state
-from repro.webcompute.server import WBCServer
+from repro.webcompute.engine import WBCServer, check_state
 
 __all__ = ["snapshot", "restore", "dumps", "loads"]
 
 
 def snapshot(server: WBCServer) -> dict[str, Any]:
-    """The server's complete persistent state: its engine's
-    ``snapshot_state()``.
+    """The server's complete persistent state: its ``snapshot_state()``.
 
     The APF is stored *by registry name*, so only registry-resolvable
     allocation functions (``apf-sharp``, ``apf-star``, ``apf-bracket-C``,
@@ -48,15 +46,14 @@ def snapshot(server: WBCServer) -> dict[str, Any]:
     :class:`~repro.apf.constructor.ConstructedAPF` raises here rather than
     producing an unrestorable snapshot.
     """
-    engine = server.engine
     try:
-        get_pairing(engine.apf_name)
+        get_pairing(server.apf_name)
     except ConfigurationError:
         raise ConfigurationError(
-            f"APF {engine.apf_name!r} is not registry-resolvable; "
+            f"APF {server.apf_name!r} is not registry-resolvable; "
             "register it before snapshotting"
         ) from None
-    return engine.snapshot_state()
+    return server.snapshot_state()
 
 
 def restore(state: dict[str, Any]) -> WBCServer:
@@ -72,7 +69,7 @@ def restore(state: dict[str, Any]) -> WBCServer:
         ban_after_strikes=state["ban_after_strikes"],
         lease_ticks=state["lease_ticks"],
     )
-    server.engine.restore_state(state)
+    server.restore_state(state)
     return server
 
 

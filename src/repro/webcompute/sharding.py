@@ -6,7 +6,7 @@ synchronous core; to scale out, :class:`ShardedWBCServer` runs ``S``
 independent engine shards and keeps one *global, attributable* task-index
 space by composing the mapping layers exactly the way the paper composes
 arrays: the pair ``(shard_no, local_index)`` is itself paired into one
-integer with the Rosenberg--Strong square-shell PF
+integer, by default with the Rosenberg--Strong square-shell PF
 (:class:`~repro.core.squareshell.SquareShellPairing`, the ``A_{1,1}`` of
 Section 3.2.1; Szudzik 2019 studies the same function as "the
 Rosenberg-Strong pairing function").  Global attribution is the composition
@@ -17,16 +17,15 @@ bignum arithmetic.
 
 Shell-based composition keeps the global space *dense in the shard
 dimension*: with ``S`` shards the square-shell walk never charges more
-than ``max(S, local)**2`` addresses, and for workloads where the local
-index dominates (the common case: few shards, many tasks) an
-aspect-ratio shell :class:`~repro.core.aspectratio.AspectRatioPairing`
-``A_{1,b}`` with ``b ~ local/shard`` recovers most of the lost density --
-the same proportional-shell idea as Szudzik's binary proportional PFs
-(2018).  Pass it as ``composer`` to measure the tradeoff; the shard-scaling
-benchmark records the footprint for both.
+than ``max(S, local)**2`` addresses.  The composer is chosen by *name*
+through the :mod:`~repro.webcompute.codecs` registry; for workloads where
+the local index dominates (the common case: few shards, many tasks) the
+``binprop-B`` codecs, Szudzik's binary proportional PFs (2018), win most
+of the lost density back.
 
-Routing is deterministic: a :class:`ShardPolicy` maps each registration to
-a shard, so a seeded run is exactly reproducible, shard count included.
+Routing is fixed round-robin: registration ``k`` goes to the ``k mod n``-th
+of the ``n`` shards that can take it, so a seeded run is exactly
+reproducible, shard count included.
 
 Fault tolerance (the difference between a demo and a service): every
 mutating call is journaled to the shard's
@@ -94,8 +93,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.apf.base import AdditivePairingFunction
-from repro.core.base import PairingFunction
-from repro.core.squareshell import SquareShellPairing
 from repro.errors import (
     AllocationError,
     ConfigurationError,
@@ -103,7 +100,7 @@ from repro.errors import (
     ReproError,
     ShardDownError,
 )
-from repro.webcompute.codecs import composer_for
+from repro.webcompute.codecs import DEFAULT_CODEC, composer_for
 from repro.webcompute.engine import AllocationEngine
 from repro.webcompute.events import (
     CheckpointTaken,
@@ -119,96 +116,10 @@ from repro.webcompute.shardworker import EngineSpec, InProcessHost, WorkerHandle
 from repro.webcompute.task import Task
 from repro.webcompute.volunteer import VolunteerProfile
 
-__all__ = [
-    "ShardPolicy",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "AttributionPath",
-    "ShardedWBCServer",
-]
+__all__ = ["AttributionPath", "ShardedWBCServer"]
 
 #: Either kind of shard host; both speak the :mod:`shardworker` protocol.
 _Host = InProcessHost | WorkerHandle
-
-
-class ShardPolicy:
-    """Deterministic volunteer-to-shard routing.
-
-    ``shard_for`` sees the global registration sequence number, the
-    profile, and one load view per **live** shard (crashed shards are
-    routed around, so a degraded server shows a shorter list).  It must
-    return a *slot* into ``loads`` -- an index in ``[0, len(loads))`` --
-    and the router maps that slot back to the absolute shard the view
-    fronts.  With every shard up the slot and the absolute shard index
-    coincide; while shards are down they do not, so a policy must pick by
-    the *views* (their ``seated_count``, reads forwarded to the live
-    engine), never by assuming position ``i`` is shard ``i``.  Policies
-    must not consult any non-deterministic source."""
-
-    def shard_for(
-        self,
-        sequence: int,
-        profile: VolunteerProfile,
-        loads: list[_LoadView],
-    ) -> int:
-        raise NotImplementedError
-
-
-class RoundRobinPolicy(ShardPolicy):
-    """Registration ``k`` goes to live-shard slot ``k mod len(loads)`` --
-    stateless, and perfectly balanced for any arrival order."""
-
-    def shard_for(
-        self,
-        sequence: int,
-        profile: VolunteerProfile,
-        loads: list[_LoadView],
-    ) -> int:
-        return sequence % len(loads)
-
-
-class LeastLoadedPolicy(ShardPolicy):
-    """The live shard with the fewest seated volunteers; ties break to
-    the smallest slot (which is also the smallest absolute shard index,
-    since live shards keep their relative order).  Re-balances
-    automatically after departures.  Within one registration round the
-    router counts earlier in-round assignments as load, so a batch
-    spreads instead of piling onto the shard that was lightest when the
-    round began."""
-
-    def shard_for(
-        self,
-        sequence: int,
-        profile: VolunteerProfile,
-        loads: list[_LoadView],
-    ) -> int:
-        return min(range(len(loads)), key=lambda s: (loads[s].seated_count, s))
-
-
-class _LoadView:
-    """An engine stand-in handed to policies during a registration round:
-    ``seated_count`` includes volunteers assigned earlier in the same round
-    (they are not seated on the engine until the round flushes); every
-    other attribute reads through to the live engine.  The engine's own
-    count is read once per round (it cannot change mid-round) -- identical
-    semantics in-process, and one pipe round trip instead of one per
-    routed profile when the engine lives in a worker."""
-
-    __slots__ = ("_engine", "pending", "_base")
-
-    def __init__(self, engine: AllocationEngine) -> None:
-        self._engine = engine
-        self.pending = 0
-        self._base: int | None = None
-
-    @property
-    def seated_count(self) -> int:
-        if self._base is None:
-            self._base = self._engine.seated_count
-        return self._base + self.pending
-
-    def __getattr__(self, name: str):
-        return getattr(self._engine, name)
 
 
 class _DeadShard:
@@ -243,7 +154,6 @@ class _RestoreSession:
         "base_issued",
         "request_ops",
         "replayed_ops",
-        "accepted",
     )
 
     def __init__(self, shard: int, checkpoint_tick: int, base_issued: int) -> None:
@@ -253,7 +163,6 @@ class _RestoreSession:
         self.base_issued = base_issued
         self.request_ops = 0
         self.replayed_ops = 0
-        self.accepted = 0
 
     def enqueue_op(self, op: list) -> None:
         self.queue.append(("op", op))
@@ -272,20 +181,13 @@ class _RestoringShard:
     replay queue (via the server's journaling seam) and the volunteers are
     actually seated when replay reaches it.  Everything else -- requests,
     returns, departures, reads -- raises the transient
-    :class:`~repro.errors.ShardDownError` until the restore finishes.
-    ``seated_count`` (what routing policies weigh) counts only in-restore
-    admissions: the rebuilt engine's true count is unknown until replay
-    completes."""
+    :class:`~repro.errors.ShardDownError` until the restore finishes."""
 
     __slots__ = ("shard", "_session")
 
     def __init__(self, shard: int, session: _RestoreSession) -> None:
         self.shard = shard
         self._session = session
-
-    @property
-    def seated_count(self) -> int:
-        return self._session.accepted
 
     def validate_round(
         self, profiles: list[VolunteerProfile], ids: list[int] | None = None
@@ -312,8 +214,7 @@ class _RestoringShard:
         # The state change itself rides the replay queue: the server
         # journals the round's op right after this returns, and its
         # _journal seam appends every journaled op to the queue while the
-        # shard is restoring.  Here we only account for the admission.
-        self._session.accepted += len(ids)
+        # shard is restoring.
         return list(ids)
 
     def __getattr__(self, name: str):
@@ -515,15 +416,12 @@ class ShardedWBCServer:
         independent, so they can share the stateless instance).
     shards:
         Number of engine shards ``S >= 1``.
-    composer:
-        The pairing function composing ``(shard_no, local_index)`` into
-        the global index; defaults to the Rosenberg--Strong square shell.
     codec:
-        Alternative to ``composer``: the *name* of a registered index
-        codec (see :mod:`~repro.webcompute.codecs`), resolved through
-        the codec registry.  Passing both is a configuration error.
-    policy:
-        The deterministic routing policy; defaults to round-robin.
+        The *name* of the registered index codec composing
+        ``(shard_no, local_index)`` into the global index (see
+        :mod:`~repro.webcompute.codecs`); ``None`` means
+        :data:`~repro.webcompute.codecs.DEFAULT_CODEC`, the
+        Rosenberg--Strong square shell.
     lease_ticks:
         Task-lease length passed to every shard engine (``None`` = no
         leases).
@@ -551,9 +449,7 @@ class ShardedWBCServer:
         ban_after_strikes: int = 2,
         seed: int = 0,
         *,
-        composer: PairingFunction | None = None,
         codec: str | None = None,
-        policy: ShardPolicy | None = None,
         lease_ticks: int | None = None,
         checkpoint_every: int | None = None,
         compact_every: int | None = 8,
@@ -576,14 +472,7 @@ class ShardedWBCServer:
             raise ConfigurationError(
                 f"workers must be a positive int or None, got {workers!r}"
             )
-        if codec is not None:
-            if composer is not None:
-                raise ConfigurationError(
-                    "pass either composer= or codec=, not both"
-                )
-            composer = composer_for(codec)
-        self.composer = composer if composer is not None else SquareShellPairing()
-        self.policy = policy if policy is not None else RoundRobinPolicy()
+        self.composer = composer_for(codec if codec is not None else DEFAULT_CODEC)
         self.checkpoint_every = checkpoint_every
         self.compact_every = compact_every
         self.lease_ticks = lease_ticks
@@ -1088,14 +977,15 @@ class ShardedWBCServer:
     # reprolint: allow[R005] each shard engine publishes VolunteerRegistered
     # itself; those events are forwarded to the global bus
     def register_round(self, profiles: list[VolunteerProfile]) -> list[int]:
-        """Admit a batch: the policy routes each volunteer to a shard,
-        then each shard seats its sub-round (fastest first, as ever).
-        Volunteer ids are globally unique across shards.
+        """Admit a batch: registration ``k`` goes to the ``k mod n``-th of
+        the ``n`` routable shards, then each shard seats its sub-round
+        (fastest first, as ever).  Volunteer ids are globally unique
+        across shards.
 
-        Degraded mode: the policy only ever sees the *live* shards'
-        load views, so while a shard is down registrations route around
-        it (and with every shard live, routing is bit-identical to the
-        fault-free behavior).  Raises
+        Degraded mode: only routable shards (live or streaming a
+        restore) take registrations, so while a shard is down
+        registrations route around it (and with every shard live,
+        routing is bit-identical to the fault-free behavior).  Raises
         :class:`~repro.errors.AllocationError` when every shard is down.
 
         Atomicity: the round either seats every volunteer or none.
@@ -1106,26 +996,18 @@ class ShardedWBCServer:
         consumed volunteer ids and registration sequence numbers are
         burned, never reused -- so a retried round gets fresh ids and
         identical routing behavior to any other round."""
-        alive = self.routable_shards()
-        if not alive:
+        routable = self.routable_shards()
+        if not routable:
             raise AllocationError("every shard is down; nothing can register")
         ids: list[int] = []
         per_shard: dict[int, tuple[list[VolunteerProfile], list[int]]] = {}
-        load_views = [_LoadView(self.engines[s]) for s in alive]
         try:
             for profile in profiles:
-                pick = self.policy.shard_for(self._registrations, profile, load_views)
-                if not 0 <= pick < len(load_views):
-                    raise ConfigurationError(
-                        f"policy routed to live-shard slot {pick}, valid range is "
-                        f"0..{len(load_views) - 1}"
-                    )
-                shard = alive[pick]
+                shard = routable[self._registrations % len(routable)]
                 vid = self._next_volunteer_id
                 self._next_volunteer_id += 1
                 self._registrations += 1
                 self._shard_of[vid] = shard
-                load_views[pick].pending += 1
                 bucket = per_shard.setdefault(shard, ([], []))
                 bucket[0].append(profile)
                 bucket[1].append(vid)

@@ -1,8 +1,8 @@
 """Seeded discrete-time simulation of a web-computing project.
 
-Drives a :class:`~repro.webcompute.server.WBCServer` -- or, with
-``shards > 1``, a :class:`~repro.webcompute.sharding.ShardedWBCServer` --
-with a synthetic volunteer population: arrivals (optionally in waves),
+Drives a :class:`~repro.webcompute.engine.WBCServer` -- or, with
+``shards > 1``, ``workers`` or a named ``codec``, a
+:class:`~repro.webcompute.sharding.ShardedWBCServer` -- with a synthetic volunteer population: arrivals (optionally in waves),
 per-volunteer speeds (tasks completed per tick, realized stochastically),
 honest / careless / malicious behavior, and optional mid-run departures.
 
@@ -41,6 +41,7 @@ from repro.errors import (
     ReproError,
     ShardDownError,
 )
+from repro.webcompute.engine import WBCServer
 from repro.webcompute.events import (
     CheckpointTaken,
     EventCounters,
@@ -53,7 +54,6 @@ from repro.webcompute.events import (
 )
 from repro.webcompute.faults import FaultInjector, FaultSpec
 from repro.webcompute.recovery import Backoff
-from repro.webcompute.server import WBCServer
 from repro.webcompute.sharding import ShardedWBCServer
 from repro.webcompute.task import Task
 from repro.webcompute.volunteer import Behavior, VolunteerProfile

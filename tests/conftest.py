@@ -1,11 +1,17 @@
-"""Shared fixtures: the mapping zoo.
+"""Shared fixtures: the mapping zoo, and one reprolint analysis of ``src/``.
 
 Most correctness properties (roundtrip, bijectivity, spread consistency)
 hold for *every* mapping in the library, so tests parametrize over these
 lists.  Factories (not instances) are shared so each test gets fresh state.
+
+A cold reprolint run over ``src/`` takes seconds, so every test that
+gates on the whole tree reads the one session run in :func:`src_runs`.
 """
 
 from __future__ import annotations
+
+import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +39,9 @@ from repro.core.aspectratio import AspectRatioPairing
 from repro.core.diagonal import DiagonalPairing, DiagonalPairingTwin
 from repro.core.hyperbolic import HyperbolicPairing
 from repro.core.squareshell import SquareShellPairing, SquareShellPairingTwin
+from repro.staticcheck import analyze_paths
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def all_pairing_factories():
@@ -100,3 +109,20 @@ def any_pairing(request):
 @pytest.fixture
 def any_apf(request):
     return request.param()
+
+
+@pytest.fixture(scope="session")
+def src_runs(tmp_path_factory):
+    """``(cold, cold_s, warm, warm_s)``: one cold analysis of ``src/``
+    with every rule, filling a fresh cache, then one warm run on that
+    cache."""
+    cache_path = tmp_path_factory.mktemp("reprolint") / "cache.json"
+
+    def run():
+        started = time.perf_counter()
+        result = analyze_paths([SRC], cache=True, cache_path=cache_path)
+        return result, time.perf_counter() - started
+
+    cold, cold_s = run()
+    warm, warm_s = run()
+    return cold, cold_s, warm, warm_s

@@ -76,6 +76,12 @@ def test_smoke_run_writes_schema_and_record(bench_runner, smoke_output):
             shard_rows[f"parallel_{s}"]["tasks_completed"]
             == shard_rows[f"serial_{s}"]["tasks_completed"]
         )
+        # Both modes run the same server class and codec, so they mint
+        # the same global indices -- at 1 shard too.
+        assert (
+            shard_rows[f"parallel_{s}"]["max_task_index_bits"]
+            == shard_rows[f"serial_{s}"]["max_task_index_bits"]
+        ), s
     # No monotonicity assertion on max_task_index: sharding *lowers*
     # per-engine row numbers (cheaper strides) while the square-shell
     # composition inflates the composed index -- which effect wins is
@@ -134,15 +140,13 @@ def test_committed_shard_scaling_gate(bench_runner):
         assert tps[16] >= tps[4], f"16-shard pool regressed: {tps}"
 
 
-def test_committed_waiver_census():
+def test_committed_waiver_census(src_runs):
     """The reprolint waiver census of the committed ``src/`` tree, taken
     live: every ``# reprolint: allow[...]`` the tree leans on, counted by
     rule and by module, with sums that agree and nothing left
     unsuppressed -- the escape-hatch count the retired staticcheck
     scenario used to record in the trajectory."""
-    from repro.staticcheck import analyze_paths
-
-    result = analyze_paths([_RUNNER.parent.parent / "src"], cache=False)
+    result = src_runs[0]
     by_module: dict[str, int] = {}
     for finding, _line in result.suppressed:
         by_module[finding.module] = by_module.get(finding.module, 0) + 1

@@ -199,7 +199,7 @@ class TestExtendibleReprs:
 class TestServerRepr:
     def test_server_repr(self):
         from repro.apf.families import TSharp
-        from repro.webcompute.server import WBCServer
+        from repro.webcompute.engine import WBCServer
 
         server = WBCServer(TSharp())
         assert "apf-sharp" in repr(server)

@@ -53,7 +53,7 @@ DOCTESTED_MODULES = [
     "repro.webcompute.volunteer",
     "repro.webcompute.allocator",
     "repro.webcompute.frontend",
-    "repro.webcompute.server",
+    "repro.webcompute.engine",
     "repro.webcompute.codecs",
     "repro.webcompute.replication",
     "repro.perf.spread_cache",

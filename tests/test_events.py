@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.apf.families import TSharp
+from repro.webcompute.engine import WBCServer
 from repro.webcompute.events import (
     EventBus,
     EventCounters,
@@ -15,7 +16,6 @@ from repro.webcompute.events import (
     VolunteerDeparted,
     VolunteerRegistered,
 )
-from repro.webcompute.server import WBCServer
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 
 

@@ -9,10 +9,9 @@ import pytest
 from repro.apf.constructor import ConstructedAPF
 from repro.apf.families import LinearCopyIndex, TSharp, TStar
 from repro.errors import ConfigurationError
-from repro.webcompute.engine import AllocationEngine
+from repro.webcompute.engine import AllocationEngine, WBCServer
 from repro.webcompute.persistence import dumps, loads, restore, snapshot
 from repro.webcompute.recovery import CheckpointStore
-from repro.webcompute.server import WBCServer
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 
 
@@ -138,12 +137,12 @@ class TestEnvelopeV2:
 
     def test_envelope_carries_every_engine_key(self):
         server = busy_server()
-        assert set(json.loads(dumps(server))) == set(server.engine.snapshot_state())
+        assert set(json.loads(dumps(server))) == set(server.snapshot_state())
 
     def test_envelope_engine_state_verbatim(self):
         server = busy_server()
         store = CheckpointStore()
-        store.checkpoint(server.engine)
+        store.checkpoint(server)
         text = dumps(server)
         assert store.base_state() == json.loads(text)
         assert store.base_bytes == len(text)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apf.families import TSharp, TStar
 from repro.errors import AllocationError
-from repro.webcompute.server import WBCServer
+from repro.webcompute.engine import WBCServer
 from repro.webcompute.task import correct_result
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 

@@ -14,16 +14,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.apf.families import TSharp, TStar
-from repro.core.aspectratio import AspectRatioPairing
 from repro.core.squareshell import SquareShellPairing
 from repro.errors import AllocationError, ConfigurationError, ShardDownError
 from repro.webcompute.events import EventCounters, TaskIssued, VolunteerRegistered
-from repro.webcompute.sharding import (
-    LeastLoadedPolicy,
-    RoundRobinPolicy,
-    ShardedWBCServer,
-    ShardPolicy,
-)
+from repro.webcompute.sharding import ShardedWBCServer
 from repro.webcompute.volunteer import VolunteerProfile
 
 
@@ -62,24 +56,6 @@ class TestRouting:
         assert ids_a == ids_b
         assert [a.shard_of(v) for v in ids_a] == [b.shard_of(v) for v in ids_b]
 
-    def test_least_loaded_rebalances_after_departure(self):
-        server = make_server(shards=2, policy=LeastLoadedPolicy())
-        a, b = server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
-        assert {server.shard_of(a), server.shard_of(b)} == {0, 1}
-        server.depart(a)
-        c = server.register(VolunteerProfile("c"))
-        # Shard of `a` is now empty, so `c` lands there.
-        assert server.shard_of(c) == server.shard_of(a)
-
-    def test_policy_routing_out_of_range_rejected(self):
-        class BrokenPolicy(ShardPolicy):
-            def shard_for(self, sequence, profile, engines):
-                return len(engines)  # one past the end
-
-        server = make_server(shards=2, policy=BrokenPolicy())
-        with pytest.raises(ConfigurationError):
-            server.register(VolunteerProfile("x"))
-
     def test_unknown_volunteer_rejected(self):
         server = make_server()
         with pytest.raises(AllocationError):
@@ -89,36 +65,21 @@ class TestRouting:
         assert server.is_banned(99) is False
 
     def test_policy_slot_maps_to_live_shard(self):
-        """Regression for the ``shard_for`` contract drift: the policy
-        returns a *slot* into the live-shard load views (not an absolute
-        shard id), and the router maps it back -- so a policy that always
-        picks the last slot routes around a crashed tail shard instead of
-        raising or routing into it."""
-
-        class LastSlotPolicy(ShardPolicy):
-            def shard_for(self, sequence, profile, loads):
-                return len(loads) - 1
-
-        server = make_server(shards=3, policy=LastSlotPolicy())
-        a = server.register(VolunteerProfile("a"))
-        assert server.shard_of(a) == 2
+        """Round-robin picks a slot among the *routable* shards and maps
+        it back to an absolute shard: with shard 2 down, registrations
+        land only on shards 0 and 1, and once shard 2 is restored it
+        takes registrations again."""
+        server = make_server(shards=3)
         server.crash_shard(2)
-        b = server.register(VolunteerProfile("b"))
-        # Live shards are [0, 1]: the last *slot* is absolute shard 1.
-        assert server.shard_of(b) == 1
-
-    def test_least_loaded_ignores_down_shards(self):
-        """The stock policies only ever see live shards: with the empty
-        shard down, least-loaded routes to the emptiest *live* shard."""
-        server = make_server(shards=2, policy=LeastLoadedPolicy())
-        a, b = server.register_round(
-            [VolunteerProfile("a"), VolunteerProfile("b")]
+        ids = server.register_round(
+            [VolunteerProfile(f"v{i}") for i in range(6)]
         )
-        empty = server.shard_of(a)
-        server.depart(a)
-        server.crash_shard(empty)
-        c = server.register(VolunteerProfile("c"))
-        assert server.shard_of(c) == 1 - empty
+        assert {server.shard_of(v) for v in ids} == {0, 1}
+        server.restore_shard(2)
+        ids = server.register_round(
+            [VolunteerProfile(f"w{i}") for i in range(6)]
+        )
+        assert {server.shard_of(v) for v in ids} == {0, 1, 2}
 
     def test_queries_on_down_shard_raise_shard_down(self):
         """Regression: ``is_banned`` / ``profile_of`` for a volunteer on
@@ -187,13 +148,6 @@ class TestGlobalIndexSpace:
         for bad in (0, -3, True, "7"):
             with pytest.raises(AllocationError):
                 server.attribute(bad)
-
-    def test_aspect_ratio_composer_supported(self):
-        server = make_server(shards=2, composer=AspectRatioPairing(1, 64))
-        ids = server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
-        for vid in ids:
-            task = server.request_task(vid)
-            assert server.attribute(task.index) == vid
 
 
 class TestEventAggregation:

@@ -30,7 +30,7 @@ from repro.apf.families import TSharp
 from repro.arrays.extendible import ExtendibleArray
 from repro.arrays.naive import NaiveRowMajorArray
 from repro.core.squareshell import SquareShellPairing
-from repro.webcompute.server import WBCServer
+from repro.webcompute.engine import WBCServer
 from repro.webcompute.task import Task, TaskStatus
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 

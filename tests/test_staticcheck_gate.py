@@ -13,7 +13,8 @@ Four guarantees:
   is at least 5x faster than the cold run that filled it.
 
 The cold run over ``src/`` is the expensive part, so it runs once per
-module (with a fresh cache) and the tests share it.
+session (with a fresh cache, in ``conftest.py``'s ``src_runs``) and the
+tests share it.
 """
 
 from __future__ import annotations
@@ -21,36 +22,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
-
-import pytest
 
 from repro.staticcheck import ReprolintConfig, analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 ENGINE = SRC / "repro" / "webcompute" / "engine.py"
-
-
-def _timed(fn):
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
-
-
-@pytest.fixture(scope="module")
-def src_runs(tmp_path_factory):
-    """``(cold, cold_s, warm, warm_s)``: one cold analysis of ``src/``
-    that fills a fresh cache, then one warm run on that cache."""
-    cache_path = tmp_path_factory.mktemp("reprolint") / "cache.json"
-
-    def run():
-        return analyze_paths([SRC], cache=True, cache_path=cache_path)
-
-    cold, cold_s = _timed(run)
-    warm, warm_s = _timed(run)
-    return cold, cold_s, warm, warm_s
 
 
 class TestGate:

@@ -6,8 +6,8 @@ import pytest
 
 from repro.apf.families import TSharp
 from repro.errors import DomainError
+from repro.webcompute.engine import WBCServer
 from repro.webcompute.metrics import compute_metrics, volunteer_forensics
-from repro.webcompute.server import WBCServer
 from repro.webcompute.simulation import SimulationConfig, WBCSimulation
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 

@@ -277,11 +277,27 @@ class WBCSimulation:
         if self.server.attribute(task.index) != task.volunteer_id:
             self._attribution_failures += 1
 
+    @staticmethod
+    def _lost_reissue_race(pending: _PendingReturn, exc: Exception) -> bool:
+        """Whether a rejected return is a reissue race: the task was
+        already returned by another assignee (the ledger's
+        :class:`~repro.errors.DomainError`), or the submitter held it only
+        as a reissue target and the reaper has since handed it on, so the
+        engine's attribution check rejects it
+        (:class:`~repro.errors.AllocationError`).  Any other rejection is
+        a real fault."""
+        if isinstance(exc, DomainError):
+            return True
+        return (
+            isinstance(exc, AllocationError)
+            and pending.volunteer_id != pending.task.volunteer_id
+        )
+
     def _submit_or_queue(self, pending: _PendingReturn) -> None:
         """Deliver one computed result.  A down shard re-queues it on the
-        backoff schedule (until exhausted); a conflict -- the task was
-        already returned by the other assignee after a reissue race --
-        abandons it (the ledger keeps the first return)."""
+        backoff schedule (until exhausted); a reissue race (see
+        :meth:`_lost_reissue_race`) abandons it (the ledger keeps the
+        return it accepted, or the task's current assignee returns it)."""
         try:
             self.server.submit_result(
                 pending.volunteer_id, pending.task.index, pending.result
@@ -294,7 +310,9 @@ class WBCSimulation:
             pending.due = pending.backoff.next_retry_tick(self.server.clock)
             self._pending_returns.append(pending)
             return
-        except DomainError:
+        except (DomainError, AllocationError) as exc:
+            if not self._lost_reissue_race(pending, exc):
+                raise
             self._returns_abandoned += 1
             return
         if pending.retried:
@@ -452,7 +470,7 @@ class WBCSimulation:
                 pending.due = pending.backoff.next_retry_tick(server.clock)
                 self._pending_returns.append(pending)
                 continue
-            if isinstance(outcome, DomainError):
+            if self._lost_reissue_race(pending, outcome):
                 self._returns_abandoned += 1
                 continue
             raise outcome

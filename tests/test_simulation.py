@@ -110,3 +110,28 @@ class TestFamilyComparison:
         outcomes = run_family_comparison([TSharp()], small_config())
         o = outcomes[0]
         assert o.density == pytest.approx(o.tasks_completed / o.max_task_index)
+
+
+class TestLeasesWithDroppedReturns:
+    @pytest.mark.parametrize(
+        "shards, seed", [(1, 3), (1, 7), (4, 3), (4, 7), (4, 11)]
+    )
+    def test_superseded_reissue_target_is_abandoned(self, shards, seed):
+        """A task reissued a→b and then b→c: b's return is a reissue race
+        the simulation abandons, not a crash.  These configurations used
+        to raise ``AllocationError`` ("task … attributes to volunteer a,
+        not b") out of ``run``."""
+        outcome = WBCSimulation(
+            TSharp(),
+            SimulationConfig(
+                ticks=300,
+                initial_volunteers=48,
+                seed=seed,
+                shards=shards,
+                lease_ticks=6,
+                faults="drop=0.05",
+            ),
+        ).run()
+        assert outcome.attribution_failures == 0
+        assert outcome.tasks_reissued > 0
+        assert outcome.returns_abandoned > 0

@@ -14,21 +14,39 @@ Four guarantees:
 
 The cold run over ``src/`` is the expensive part, so it runs once per
 session (with a fresh cache, in ``conftest.py``'s ``src_runs``) and the
-tests share it.
+tests share it.  The CLI entry points run with their default ``--cache``
+over a temporary copy of ``src/`` (:func:`src_copy`), so they never read
+or rewrite the checkout's ``.reprolint-cache.json``.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.staticcheck import ReprolintConfig, analyze_paths
+from repro.staticcheck.cache import CACHE_FILENAME
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 ENGINE = SRC / "repro" / "webcompute" / "engine.py"
+
+
+@pytest.fixture(scope="module")
+def src_copy(tmp_path_factory):
+    """A temporary checkout holding copies of ``src/`` and
+    ``pyproject.toml``.  The CLI keeps its cache next to the governing
+    ``pyproject.toml``, so runs over the copy start from no cache and
+    leave the checkout's untouched."""
+    root = tmp_path_factory.mktemp("checkout")
+    shutil.copytree(SRC, root / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO_ROOT / "pyproject.toml", root)
+    return root
 
 
 class TestGate:
@@ -80,10 +98,10 @@ class TestGate:
         assert intact.ok
         assert len(intact.suppressed) == len(bare.findings)
 
-    def test_module_cli_agrees(self):
+    def test_module_cli_agrees(self, src_copy):
         result = subprocess.run(
             [sys.executable, "-m", "repro.staticcheck", "src", "--json"],
-            cwd=REPO_ROOT,
+            cwd=src_copy,
             capture_output=True,
             text=True,
             env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
@@ -93,9 +111,13 @@ class TestGate:
         assert payload["ok"] is True
         assert payload["counts_by_rule"] == {}
         assert payload["files"] >= 80
+        assert (src_copy / CACHE_FILENAME).is_file()
 
-    def test_repro_cli_lint_subcommand(self, capsys):
+    def test_repro_cli_lint_subcommand(self, src_copy, capsys, monkeypatch):
         from repro.cli import main
 
-        assert main(["lint", str(SRC)]) == 0
+        # Same relative path as the module CLI run, so its cache is warm.
+        monkeypatch.chdir(src_copy)
+        assert main(["lint", "src"]) == 0
         assert "clean" in capsys.readouterr().out
+        assert (src_copy / CACHE_FILENAME).is_file()

@@ -319,3 +319,41 @@ class TestIncrementalCheckpoints:
         store = server._stores[0]
         delta, base = store.segment_bytes[-1], store.base_bytes
         assert 0 < delta <= 0.10 * base, f"{delta} of {base} bytes"
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_post_restore_delta_ships_only_changed_rows(self, workers):
+        """Restored rows are already in the log, so the first delta after
+        a bounce that follows a compaction carries exactly the task rows
+        changed since the cut -- the replayed ones and the new ones --
+        not the shard's whole task table."""
+        server = make_server(
+            workers=workers, checkpoint_every=None, compact_every=None
+        )
+        try:
+            vids = server.register_round(
+                [VolunteerProfile(f"v{i}") for i in range(9)]
+            )
+            drive(server, vids, rounds=4)
+            mine = [vid for vid in vids if server.shard_of(vid) == 1]
+            server.tick()
+            held = server.request_task(mine[0])  # returned only after the cut
+            server.checkpoint_shard(1, full=True)
+            changed = {held.index}
+            server.submit_result(mine[0], held.index, held.expected_result)
+            for vid in mine[1:]:  # journaled, replayed by the restore
+                changed.add(server.request_task(vid).index)
+            server.crash_shard(1)
+            server.restore_shard(1)
+            for _ in range(2):  # new work after the restore
+                server.tick()
+                for vid in mine:
+                    task = server.request_task(vid)
+                    server.submit_result(vid, task.index, task.expected_result)
+                    changed.add(task.index)
+            server.checkpoint_shard(1)
+            delta = server._stores[1].segments()[-1]
+            assert {row[0] for row in delta["ledger"]["tasks"]} == changed
+            assert delta["tasks_issued"] > 2 * len(changed)
+            assert delta["profiles"] == {}
+        finally:
+            server.close()

@@ -12,15 +12,18 @@ Two seams make the engine shard-able:
 
 * **Index codec** -- every task index leaving the engine passes through
   ``codec.encode`` and every index entering passes through
-  ``codec.decode``.  The identity codec (the default) is the
+  ``codec.decode``, unless the caller already decoded it: the sharded
+  router unpairs each global index once to route it, and hands the
+  engine the local index.  The identity codec (the default) is the
   single-server behavior; a shard's codec is
   ``encode = pair(shard_no, .)`` / ``decode = unpair`` with the sharded
   server's composer, so the *ledger itself* records the
   globally-attributable indices and ground-truth verification stays
   consistent with what volunteers compute.
 * **Event bus** -- every state transition publishes a typed event
-  (:mod:`~repro.webcompute.events`); the metrics layer and the simulation
-  driver subscribe instead of reaching into private state.
+  (:mod:`~repro.webcompute.events`), stamped with the bus's ``shard``; the
+  metrics layer and the simulation driver subscribe instead of reaching
+  into private state.
 """
 
 from __future__ import annotations
@@ -264,6 +267,7 @@ class AllocationEngine:
                     row=assignment.row,
                     start_serial=assignment.start_serial,
                     speed=profile.speed,
+                    shard=self.bus.shard,
                 )
             )
         return assigned
@@ -286,6 +290,7 @@ class AllocationEngine:
                 row=row,
                 resume_serial=resume,
                 banned=self.ledger.is_banned(volunteer_id),
+                shard=self.bus.shard,
             )
         )
 
@@ -325,19 +330,26 @@ class AllocationEngine:
                 task_index=index,
                 row=row,
                 serial=serial,
+                shard=self.bus.shard,
             )
         )
         return task
 
-    def submit_result(self, volunteer_id: int, task_index: int, result: int) -> None:
+    def submit_result(
+        self,
+        volunteer_id: int,
+        task_index: int,
+        result: int,
+        local: int | None = None,
+    ) -> None:
         """Accept a result.  The submitted task must attribute (via the APF
         inverse + epochs) to the submitting volunteer -- a mismatch is the
         accountability scheme catching a forged submission.  The one
         sanctioned exception is a lease reissue: the recorded reissue
         target may also return the task, but attribution (and hence
         responsibility for the original serial) still names the original
-        assignee."""
-        owner = self.attribute(task_index)
+        assignee.  *local* is as in :meth:`locate`."""
+        owner = self.attribute(task_index, local)
         if owner != volunteer_id:
             task = self.ledger.task(task_index)
             if task.reissued_to != volunteer_id:
@@ -396,6 +408,7 @@ class AllocationEngine:
                     to_volunteer=target,
                     row=row,
                     serial=serial,
+                    shard=self.bus.shard,
                 )
             )
             reissued.append(task)
@@ -420,18 +433,24 @@ class AllocationEngine:
                 tick=self._clock,
                 volunteer_id=volunteer_id,
                 error_rate=error_rate,
+                shard=self.bus.shard,
             )
         )
         return corrupted
 
-    def locate(self, task_index: int) -> tuple[int, int]:
+    def locate(self, task_index: int, local: int | None = None) -> tuple[int, int]:
         """The allocation coordinates ``(row, serial)`` behind a
-        caller-visible task index: codec decode, then ``T^-1``."""
-        return self.allocator.attribute(self.codec.decode(task_index))
+        caller-visible task index: codec decode, then ``T^-1``.  A router
+        that already decoded *task_index* to this engine's slice passes
+        the *local* index, and the codec is skipped."""
+        if local is None:
+            local = self.codec.decode(task_index)
+        return self.allocator.attribute(local)
 
-    def attribute(self, task_index: int) -> int:
-        """Who is responsible for *task_index*?  Decode, ``T^-1``, epochs."""
-        row, serial = self.locate(task_index)
+    def attribute(self, task_index: int, local: int | None = None) -> int:
+        """Who is responsible for *task_index*?  Decode, ``T^-1``, epochs.
+        *local* is as in :meth:`locate`."""
+        row, serial = self.locate(task_index, local)
         return self.frontend.volunteer_for(row, serial)
 
     # ------------------------------------------------------------------

@@ -8,8 +8,10 @@ registration / issue / departure events, the
 :class:`~repro.webcompute.ledger.AccountabilityLedger` publishes return and
 ban events, the :class:`~repro.webcompute.frontend.FrontEnd` publishes row
 seating / recycling events, and the
-:class:`~repro.webcompute.sharding.ShardedWBCServer` re-publishes every
-shard's stream onto one global bus with the shard id stamped on.
+:class:`~repro.webcompute.sharding.ShardedWBCServer` delivers every
+shard's stream to one global bus's subscribers.  A shard's events carry
+its id from the moment they are built: each component stamps the
+``shard`` of the bus it publishes on.
 
 Design constraints:
 
@@ -34,8 +36,10 @@ Design constraints:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Union
+
+from repro.errors import ConfigurationError
 
 __all__ = [
     "VolunteerRegistered",
@@ -286,11 +290,16 @@ class EventBus:
 
     ``clock`` is an optional zero-argument callable giving the current
     tick; components without their own clock (the front end) stamp events
-    with :meth:`now`.
+    with :meth:`now`.  ``shard`` is the id every component publishing on
+    this bus stamps on the events it builds (``None`` outside a sharded
+    server).
     """
 
-    def __init__(self, clock: Callable[[], int] | None = None) -> None:
+    def __init__(
+        self, clock: Callable[[], int] | None = None, shard: int | None = None
+    ) -> None:
         self._clock = clock
+        self.shard = shard
         self._handlers: list[tuple[tuple[type, ...] | None, Callable[[WBCEvent], None]]] = []
 
     def now(self) -> int:
@@ -325,26 +334,18 @@ class EventBus:
             if types is None or isinstance(event, types):
                 handler(event)
 
-    def forward_to(self, target: "EventBus", shard: int | None = None) -> Callable[[], None]:
-        """Re-publish this bus's stream onto *target*, stamping ``shard``
-        on each event (the sharded router's aggregation hook)."""
-
-        def relay(event: WBCEvent) -> None:
-            if shard is not None and event.shard is None:
-                event = replace(event, shard=shard)
-            target.publish(event)
-
-        return self.subscribe(relay)
-
-    def republish(self, event: WBCEvent, shard: int | None = None) -> None:
-        """Publish an event that was *already stamped* with its tick by an
-        upstream bus, tagging ``shard`` when the event carries none.  The
-        parallel router's aggregation hook: worker-side engine buses stamp
-        ticks at publish time, the parent re-publishes the shipped events
-        here so global subscribers see one stream either way."""
-        if shard is not None and event.shard is None:
-            event = replace(event, shard=shard)
-        self.publish(event)
+    def join(self, target: "EventBus") -> None:
+        """Share *target*'s subscriber list from now on: one
+        :meth:`publish` here delivers to every subscriber of *target*,
+        present and future, and a subscription on either bus is a
+        subscription on both.  The sharded router's aggregation hook: an
+        in-process shard's engine joins the global bus when it goes live
+        (never while it replays, so replayed history is not delivered).
+        Keeps this bus's own clock and ``shard``; a bus that already has
+        subscribers cannot join, since they would silently be dropped."""
+        if self._handlers:
+            raise ConfigurationError("a bus with subscribers cannot join another bus")
+        self._handlers = target._handlers
 
     @property
     def subscriber_count(self) -> int:

@@ -163,6 +163,7 @@ class FrontEnd:
                         volunteer_id=vid,
                         start_serial=start,
                         recycled=recycled,
+                        shard=self.bus.shard,
                     )
                 )
         return [assignment_of[vid] for vid, _ in arrivals]
@@ -187,7 +188,12 @@ class FrontEnd:
         self._unseated_at[volunteer_id] = now
         if self.bus is not None:
             self.bus.publish(
-                RowRecycled(tick=self.bus.now(), row=row, resume_serial=last + 1)
+                RowRecycled(
+                    tick=self.bus.now(),
+                    row=row,
+                    resume_serial=last + 1,
+                    shard=self.bus.shard,
+                )
             )
         return row
 

@@ -378,6 +378,7 @@ class AccountabilityLedger:
                     task_index=task_index,
                     bad=is_bad,
                     verified=verified,
+                    shard=self.bus.shard,
                 )
             )
             if banned_now:
@@ -386,6 +387,7 @@ class AccountabilityLedger:
                         tick=at_tick,
                         volunteer_id=submitter,
                         strikes=rec.strikes,
+                        shard=self.bus.shard,
                     )
                 )
         return banned_now
@@ -418,6 +420,7 @@ class AccountabilityLedger:
                                 tick=self.bus.now(),
                                 volunteer_id=returner,
                                 strikes=rec.strikes,
+                                shard=self.bus.shard,
                             )
                         )
         return task.status

@@ -20,11 +20,12 @@ engine's determinism:
   pinned bit-identical to the engine's live ``apply_delta`` by the
   recovery differential tests.
 * The **op journal** records every state-mutating engine call made after
-  the checkpoint, in order, as small JSON-able entries.  Because the
-  engine is deterministic (the only randomness is the ledger's
-  verification RNG, whose state is *inside* the checkpoint), replaying
-  the journal against the restored checkpoint reproduces the lost state
-  bit-for-bit -- same task indices, same strikes, same bans.
+  the checkpoint, in order, as small JSON-able entries, serialized in
+  batches of :data:`JOURNAL_BATCH`.  Because the engine is deterministic
+  (the only randomness is the ledger's verification RNG, whose state is
+  *inside* the checkpoint), replaying the journal against the restored
+  checkpoint reproduces the lost state bit-for-bit -- same task indices,
+  same strikes, same bans.
 * :func:`replay` applies a journal to a restored engine and returns the
   op count; :func:`apply_op` is the single-op dispatcher (also the
   documentation of the journal grammar), shared with the shard hosts'
@@ -52,6 +53,7 @@ from repro.webcompute.engine import AllocationEngine
 from repro.webcompute.volunteer import VolunteerProfile
 
 __all__ = [
+    "JOURNAL_BATCH",
     "ShardCheckpoint",
     "CheckpointStore",
     "fold_delta",
@@ -140,16 +142,28 @@ def fold_delta(state: dict[str, Any], delta: dict[str, Any]) -> None:
         state["rng_state"] = dd["rng_state"]
 
 
+#: Journaled ops serialized by one ``json.dumps`` call.
+JOURNAL_BATCH = 256
+
+
 class CheckpointStore:
     """Per-shard durable storage, log-structured: a base checkpoint, the
     delta segments appended since it, and the op journal accumulated
     since the newest segment.
 
-    Everything stored passes through ``json.dumps``/``json.loads`` so a
-    checkpoint is provably serializable (what a disk or object store
-    would hold) and the restored state shares no mutable structure with
-    the live engine -- a crashed shard really does lose its in-memory
-    objects.
+    The base and each delta segment are stored as their ``json.dumps``
+    text, so a checkpoint is provably serializable (what a disk or object
+    store would hold).  The journal keeps the ops it was handed until
+    :data:`JOURNAL_BATCH` of them are pending, then stores them as one
+    JSON array; a cut serializes what is still pending before it
+    truncates the journal.  An op JSON cannot encode therefore raises
+    ``TypeError`` at the batch that holds it or at the next cut, not at
+    restore, and at most :data:`JOURNAL_BATCH` ops are ever held
+    unserialized.  Everything read back (:meth:`base_state`,
+    :meth:`segments`, :meth:`latest`, :meth:`ops`) is decoded fresh from
+    JSON, so the restored state shares no mutable structure with the
+    live engine or the router -- a crashed shard really does lose its
+    in-memory objects.
 
     ``compact_every`` bounds the log: once that many segments have
     accumulated, :attr:`wants_compaction` turns true and the owner's next
@@ -172,7 +186,8 @@ class CheckpointStore:
         self._base_issued = 0
         self._segments: list[str] = []
         self._segment_meta: list[tuple[int, int]] = []  # (tick, issued)
-        self._journal: list[str] = []
+        self._journal: list[str] = []  # JSON arrays of JOURNAL_BATCH ops each
+        self._pending: list = []  # ops journaled since the last batch
 
     # ------------------------------------------------------------------
 
@@ -188,12 +203,13 @@ class CheckpointStore:
         the snapshot dict from the shard's host and checkpoints *that*
         rather than a live engine."""
         issued = len(state["ledger"]["tasks"])
-        self._base = json.dumps(state, sort_keys=True)
+        base = json.dumps(state, sort_keys=True)
+        self._truncate_journal()
+        self._base = base
         self._base_tick = state["clock"]
         self._base_issued = issued
         self._segments = []
         self._segment_meta = []
-        self._journal = []
         return ShardCheckpoint(
             tick=state["clock"], tasks_issued=issued, state=state
         )
@@ -204,15 +220,30 @@ class CheckpointStore:
         ``(tick, tasks_issued)`` the log now covers."""
         if self._base is None:
             raise RecoveryError("no base checkpoint to append a delta to")
-        self._segments.append(json.dumps(delta, sort_keys=True))
+        segment = json.dumps(delta, sort_keys=True)
+        self._truncate_journal()
+        self._segments.append(segment)
         meta = (delta["clock"], delta["tasks_issued"])
         self._segment_meta.append(meta)
-        self._journal = []
         return meta
 
-    def journal(self, op: list[Any]) -> None:
-        """Append one op (see :func:`apply_op` for the grammar)."""
-        self._journal.append(json.dumps(op))
+    def journal(self, op: tuple | list) -> None:
+        """Append one op (see :func:`apply_op` for the grammar).  The
+        store keeps *op* itself until its batch is serialized, so the
+        caller must not mutate it afterwards."""
+        pending = self._pending
+        pending.append(op)
+        if len(pending) >= JOURNAL_BATCH:
+            self._journal.append(json.dumps(pending))
+            pending.clear()
+
+    def _truncate_journal(self) -> None:
+        """Drop the journal at a cut, after proving the ops still pending
+        serializable: a bad op fails the cut, never a later restore."""
+        if self._pending:
+            json.dumps(self._pending)
+            self._pending = []
+        self._journal = []
 
     @property
     def has_checkpoint(self) -> bool:
@@ -267,7 +298,7 @@ class CheckpointStore:
     def pending_ops(self) -> int:
         """Journal length since the newest log entry -- the replay work a
         restore will have to do."""
-        return len(self._journal)
+        return len(self._journal) * JOURNAL_BATCH + len(self._pending)
 
     def base_state(self) -> dict[str, Any]:
         """The base checkpoint's engine state, deserialized fresh."""
@@ -292,8 +323,12 @@ class CheckpointStore:
         )
 
     def ops(self) -> list[list[Any]]:
-        """The journaled ops since the newest log entry, in order."""
-        return [json.loads(entry) for entry in self._journal]
+        """The journaled ops since the newest log entry, in order, as
+        fresh lists decoded from JSON (sharing nothing with the ops the
+        store was handed)."""
+        ops = [op for batch in self._journal for op in json.loads(batch)]
+        ops.extend(json.loads(json.dumps(self._pending)))
+        return ops
 
 
 def apply_op(engine: AllocationEngine, op: list[Any]) -> Any:

@@ -57,9 +57,9 @@ remains the blocking begin + drain wrapper.  Ops that arrive while the
 shard restores (global ticks, buffered registrations) are journaled *and*
 appended to the replay queue, so the rebuilt engine converges on exactly
 the state a blocking restore would have produced.  Events the engine
-emits while replaying history are not re-published (the bus tap attaches
-only at the end) -- including the ``VolunteerRegistered`` events of
-rounds buffered during the restore window.
+emits while replaying history are not published (the engine's bus joins
+the global one only at the end) -- including the ``VolunteerRegistered``
+events of rounds buffered during the restore window.
 
 Execution modes: the router drives every shard through one host
 protocol (:mod:`~repro.webcompute.shardworker`), and the mode only picks
@@ -71,9 +71,11 @@ journal replay uses too), journals, restores and events are the same in
 both modes by construction.  An in-process shard's engine slot holds
 the engine itself, so singular calls are direct method calls; a
 process-hosted shard's slot holds a proxy that ships each call as one
-op.  Events of in-process engines reach the global bus synchronously;
-a process host ships them back with each reply and the router
-re-publishes them.  The hot-path reads (``is_banned``, ``profile_of``)
+op.  Every shard engine's bus stamps the shard number on the events
+built there.  An in-process engine's bus shares the global bus's
+subscribers, so each of its events is delivered in one ``publish``; a
+process host ships its events back with each reply and the router
+publishes them.  The hot-path reads (``is_banned``, ``profile_of``)
 come from a router-side mirror kept from the event stream in both
 modes.  Batched entry points
 (:meth:`ShardedWBCServer.request_tasks`,
@@ -164,7 +166,7 @@ class _RestoreSession:
         self.request_ops = 0
         self.replayed_ops = 0
 
-    def enqueue_op(self, op: list) -> None:
+    def enqueue_op(self, op: tuple | list) -> None:
         self.queue.append(("op", op))
         if op[0] == "request":
             self.request_ops += 1
@@ -352,7 +354,13 @@ class _RemoteShard:
     def request_task(self, volunteer_id: int) -> Task:
         return self._op(["request", volunteer_id])
 
-    def submit_result(self, volunteer_id: int, task_index: int, result: int) -> None:
+    def submit_result(
+        self,
+        volunteer_id: int,
+        task_index: int,
+        result: int,
+        local: int | None = None,
+    ) -> None:
         return self._op(["submit", volunteer_id, task_index, result])
 
     def reap_expired(self) -> list[Task]:
@@ -361,10 +369,11 @@ class _RemoteShard:
     def mark_corrupted(self, volunteer_id: int, error_rate: float) -> VolunteerProfile:
         return self._op(["corrupt", volunteer_id, error_rate])
 
-    def attribute(self, task_index: int) -> int:
+    # The worker decodes the global index itself: *local* is not shipped.
+    def attribute(self, task_index: int, local: int | None = None) -> int:
         return self._call("attribute", task_index)
 
-    def locate(self, task_index: int) -> tuple[int, int]:
+    def locate(self, task_index: int, local: int | None = None) -> tuple[int, int]:
         row, serial = self._call("locate", task_index)
         return row, serial
 
@@ -578,10 +587,10 @@ class ShardedWBCServer:
 
     def _republish(self, events: list) -> None:
         """Deliver events a host shipped back to the global bus, in the
-        order the host recorded them (ticks were stamped by the engine's
-        bus at publish time; the shard tag is stamped here)."""
-        for shard, event in events:
-            self.bus.republish(event, shard=shard)
+        order the host recorded them (each was built with its tick and
+        shard already stamped)."""
+        for event in events:
+            self.bus.publish(event)
 
     def _request(self, shard: int, message: tuple):
         """One round trip to *shard*'s host: re-publishes the events the
@@ -675,7 +684,7 @@ class ShardedWBCServer:
         """
         self._clock += 1
         for shard in range(len(self.engines)):
-            self._journal(shard, ["tick"])
+            self._journal(shard, ("tick",))
         self._scatter({shard: [["tick"]] for shard in self.alive_shards()})
         if (
             self.checkpoint_every is not None
@@ -712,13 +721,19 @@ class ShardedWBCServer:
             raise AllocationError(f"unknown volunteer {volunteer_id}") from None
 
     def engine_of(self, volunteer_id: int) -> AllocationEngine:
-        shard = self.shard_of(volunteer_id)
+        return self._route(volunteer_id)[1]
+
+    def _route(self, volunteer_id: int) -> tuple[int, AllocationEngine]:
+        """(shard, engine) of a volunteer whose shard is live."""
+        shard = self._shard_of.get(volunteer_id)
+        if shard is None:
+            raise AllocationError(f"unknown volunteer {volunteer_id}")
         if not self._alive[shard]:
             raise ShardDownError(
                 f"volunteer {volunteer_id} lives on shard {shard}, "
                 "which is down; retry after restore"
             )
-        return self.engines[shard]
+        return shard, self.engines[shard]
 
     # -- liveness / crash / recovery -----------------------------------
 
@@ -747,7 +762,7 @@ class ShardedWBCServer:
         plus shards serving degraded while a streaming restore replays."""
         return sorted(set(self.alive_shards()) | set(self._restoring))
 
-    def _journal(self, shard: int, op: list) -> None:
+    def _journal(self, shard: int, op: tuple) -> None:
         """Journal *op* to the shard's durable store and, while the shard
         is mid-streaming-restore, onto the restore session's replay queue
         too: the op happened logically after the checkpoint the restore
@@ -813,8 +828,8 @@ class ShardedWBCServer:
         rebuilt shard is audited to have issued exactly the indices the
         log says it should (``checkpoint + #request ops``) -- the
         no-double-issue guarantee across a crash -- and to have rejoined
-        the global clock.  Event forwarding to the global bus is attached
-        only *after* replay, so replayed history is not re-published."""
+        the global clock.  The rebuilt engine's events reach the global
+        bus only *after* replay, so replayed history is not published."""
         self.begin_restore(shard)
         while not self.restore_step(shard):
             pass
@@ -1025,7 +1040,7 @@ class ShardedWBCServer:
             for shard, (batch, batch_ids) in per_shard.items():
                 self.engines[shard].register_round(batch, ids=batch_ids)
                 self._journal(
-                    shard, ["register", [p.to_state() for p in batch], batch_ids]
+                    shard, ("register", [p.to_state() for p in batch], batch_ids)
                 )
                 committed.append(shard)
         except Exception:
@@ -1055,21 +1070,21 @@ class ShardedWBCServer:
                     self.engines[shard].depart(vid)
                 except ShardDownError:
                     pass
-                self._journal(shard, ["depart", vid])
+                self._journal(shard, ("depart", vid))
 
     def depart(self, volunteer_id: int) -> None:
-        shard = self.shard_of(volunteer_id)
-        self.engine_of(volunteer_id).depart(volunteer_id)
-        self._journal(shard, ["depart", volunteer_id])
+        shard, engine = self._route(volunteer_id)
+        engine.depart(volunteer_id)
+        self._journal(shard, ("depart", volunteer_id))
 
     # ------------------------------------------------------------------
 
     def request_task(self, volunteer_id: int) -> Task:
         """The volunteer's next task; ``task.index`` is the composed
         global index."""
-        shard = self.shard_of(volunteer_id)
-        task = self.engine_of(volunteer_id).request_task(volunteer_id)
-        self._journal(shard, ["request", volunteer_id])
+        shard, engine = self._route(volunteer_id)
+        task = engine.request_task(volunteer_id)
+        self._journal(shard, ("request", volunteer_id))
         return task
 
     def reap_expired(self) -> list[Task]:
@@ -1078,14 +1093,14 @@ class ShardedWBCServer:
         reissued: list[Task] = []
         for shard in self.alive_shards():
             reissued.extend(self.engines[shard].reap_expired())
-            self._journal(shard, ["reap"])
+            self._journal(shard, ("reap",))
         return reissued
 
     def mark_corrupted(self, volunteer_id: int, error_rate: float) -> VolunteerProfile:
         """Flip a volunteer malicious mid-run (the fault injector's hook)."""
-        shard = self.shard_of(volunteer_id)
-        profile = self.engine_of(volunteer_id).mark_corrupted(volunteer_id, error_rate)
-        self._journal(shard, ["corrupt", volunteer_id, error_rate])
+        shard, engine = self._route(volunteer_id)
+        profile = engine.mark_corrupted(volunteer_id, error_rate)
+        self._journal(shard, ("corrupt", volunteer_id, error_rate))
         self._mirror.note_profile(volunteer_id, profile)
         return profile
 
@@ -1117,9 +1132,9 @@ class ShardedWBCServer:
         :class:`~repro.errors.ShardDownError`; the caller (the
         simulation's retry queue, a real frontend) re-submits with
         backoff."""
-        shard, _local, engine = self._engine_for_index(task_index)
-        engine.submit_result(volunteer_id, task_index, result)
-        self._journal(shard, ["submit", volunteer_id, task_index, result])
+        shard, local, engine = self._engine_for_index(task_index)
+        engine.submit_result(volunteer_id, task_index, result, local)
+        self._journal(shard, ("submit", volunteer_id, task_index, result))
 
     # -- batched entry points ------------------------------------------
     #
@@ -1157,7 +1172,7 @@ class ShardedWBCServer:
                 if ok:
                     ok_vids.append(vid)
             if ok_vids:
-                self._journal(shard, ["requests", ok_vids])
+                self._journal(shard, ("requests", ok_vids))
         return results
 
     def submit_results(
@@ -1181,13 +1196,13 @@ class ShardedWBCServer:
             {s: [["submit", *triple] for _pos, triple in items] for s, items in entries.items()}
         )
         for shard, items in entries.items():
-            ok_triples: list[list[int]] = []
+            ok_triples: list[tuple[int, int, int]] = []
             for (pos, triple), (ok, value) in zip(items, outcomes[shard]):
                 results[pos] = value  # None on success
                 if ok:
-                    ok_triples.append(list(triple))
+                    ok_triples.append(triple)
             if ok_triples:
-                self._journal(shard, ["submits", ok_triples])
+                self._journal(shard, ("submits", ok_triples))
         return results
 
     def attribute_many(self, task_indices: list[int]) -> list[int]:
@@ -1220,9 +1235,10 @@ class ShardedWBCServer:
 
     def attribute(self, task_index: int) -> int:
         """Global attribution: ``unpair`` to ``(shard, local)``, then the
-        shard's APF inverse and epoch table."""
-        _shard, _local, engine = self._engine_for_index(task_index)
-        return engine.attribute(task_index)
+        shard's APF inverse and epoch table.  The index is decoded once,
+        here; the shard engine starts from ``local``."""
+        _shard, local, engine = self._engine_for_index(task_index)
+        return engine.attribute(task_index, local)
 
     def attribution_path(self, task_index: int) -> AttributionPath:
         """The full inverse chain
@@ -1230,37 +1246,37 @@ class ShardedWBCServer:
         the round-trip witness the sharded accountability property tests
         exercise at bignum scale."""
         shard, local, engine = self._engine_for_index(task_index)
-        row, serial = engine.locate(task_index)
+        row, serial = engine.locate(task_index, local)
         return AttributionPath(
             global_index=task_index,
             shard=shard,
             local_index=local,
             row=row,
             serial=serial,
-            volunteer_id=engine.attribute(task_index),
+            volunteer_id=engine.attribute(task_index, local),
         )
 
     # ------------------------------------------------------------------
 
     def profile_of(self, volunteer_id: int) -> VolunteerProfile:
-        """The volunteer's current profile.  Routed through
+        """The volunteer's current profile.  Routed like
         :meth:`engine_of`, so a volunteer on a crashed shard fails with
         the clear retry-after-restore
         :class:`~repro.errors.ShardDownError`.  The profile comes from
         the router-side mirror (no host round trip)."""
-        self.engine_of(volunteer_id)
+        self._route(volunteer_id)
         return self._mirror.profiles[volunteer_id]
 
     def is_banned(self, volunteer_id: int) -> bool:
         """Whether the strike policy banned *volunteer_id*.  Unknown ids
         are simply not banned (``False``); a volunteer whose shard is
         down raises the clear retry-after-restore
-        :class:`~repro.errors.ShardDownError` via :meth:`engine_of`.  The
+        :class:`~repro.errors.ShardDownError`, as :meth:`engine_of` does.  The
         answer comes from the ban mirror, which the published
         ``VolunteerBanned`` stream keeps fresh."""
         if volunteer_id not in self._shard_of:
             return False
-        self.engine_of(volunteer_id)
+        self._route(volunteer_id)
         return volunteer_id in self._mirror.banned
 
     def report(self) -> LedgerReport:

@@ -23,22 +23,24 @@ one op dispatcher and one restore path by construction:
   folds delta segments and replays journaled ops in arrival order,
   ``restore_finish`` promotes the engine and attaches its event hook).
 * :class:`InProcessHost` -- calls :func:`serve` directly in the router's
-  process, with no pickling.  Its engines forward their events straight
-  onto the router's bus, and the router's engine slots hold the engines
-  themselves, so the hot singular calls never go through a message.
+  process, with no pickling.  Its live engines' buses share the router
+  bus's subscribers, so each event is delivered in one ``publish``, and
+  the router's engine slots hold the engines themselves, so the hot
+  singular calls never go through a message.
 * :func:`worker_main` / :class:`WorkerHandle` -- the process host: a
   child process looping over :func:`serve`, and the parent-side endpoint
   (one duplex pipe, with split ``start``/``finish`` so the router can
   fan a batch out to every worker before collecting any reply -- the
   overlap that makes multi-core sharding actually parallel).  Its
-  engines' events ride back in each reply for the router to re-publish.
+  engines' events ride back in each reply for the router to publish.
 
 Protocol: one request message, one reply.  Every reply is
 ``(status, payload, events)`` where ``events`` is the ordered list of
-``(shard, event)`` pairs the hosted engines published since the previous
-reply and did not deliver themselves (always empty in-process).  A
-worker process dying surfaces as :class:`WorkerDiedError` on the parent
-side; the router maps that onto the existing
+events the hosted engines published since the previous reply and did not
+deliver themselves (always empty in-process).  Every engine's bus carries
+its shard number, so each event names its shard from the moment it is
+built.  A worker process dying surfaces as :class:`WorkerDiedError` on
+the parent side; the router maps that onto the existing
 ``crash_shard``/``restore_shard`` fault path, so a real process death is
 indistinguishable from an injected crash.
 """
@@ -98,8 +100,9 @@ def shard_codec(composer: PairingFunction, shard: int) -> IndexCodec:
 @dataclass(frozen=True, slots=True)
 class EngineSpec:
     """The picklable recipe for one shard's engine: seed offset by the
-    shard number, the shard's codec, the ledger knobs.  Construction and
-    recovery both start from ``build()``, in either host."""
+    shard number, the shard's codec, a bus stamping the shard number on
+    every event, the ledger knobs.  Construction and recovery both start
+    from ``build()``, in either host."""
 
     apf: AdditivePairingFunction
     composer: PairingFunction
@@ -116,6 +119,7 @@ class EngineSpec:
             ban_after_strikes=self.ban_after_strikes,
             seed=self.seed + self.shard,
             codec=shard_codec(self.composer, self.shard),
+            bus=EventBus(shard=self.shard),
             lease_ticks=self.lease_ticks,
         )
 
@@ -141,27 +145,27 @@ _QUERIES = {
 
 class Hosted:
     """The engines one host serves: the live ones by shard, the ones a
-    streaming restore is rebuilding, and the ``(shard, event)`` pairs
-    published since the last reply.  *attach* is the host's event hook,
-    run on every engine as it goes live (never during replay, so replayed
-    history is not re-published); by default it records events into
-    :attr:`events` for the reply to carry."""
+    streaming restore is rebuilding, and the events published since the
+    last reply.  *attach* is the host's event hook, run on every engine
+    as it goes live (never during replay, so replayed history is not
+    re-published); by default it records events into :attr:`events` for
+    the reply to carry."""
 
     __slots__ = ("engines", "restoring", "events", "_attach")
 
     def __init__(self, specs: dict[int, EngineSpec], attach=None) -> None:
         self.engines: dict[int, AllocationEngine] = {}
         self.restoring: dict[int, AllocationEngine] = {}
-        self.events: list[tuple[int, Any]] = []
+        self.events: list[Any] = []
         self._attach = self._record if attach is None else attach
         for shard in sorted(specs):
             self.install(shard, specs[shard].build())
 
-    def _record(self, shard: int, engine: AllocationEngine) -> None:
-        engine.bus.subscribe(lambda event: self.events.append((shard, event)))
+    def _record(self, engine: AllocationEngine) -> None:
+        engine.bus.subscribe(lambda event: self.events.append(event))
 
     def install(self, shard: int, engine: AllocationEngine) -> None:
-        self._attach(shard, engine)
+        self._attach(engine)
         self.engines[shard] = engine
 
     def rebuilding(self, shard: int) -> AllocationEngine:
@@ -170,7 +174,7 @@ class Hosted:
             raise RecoveryError(f"shard {shard} is not restoring here")
         return engine
 
-    def drain(self) -> list[tuple[int, Any]]:
+    def drain(self) -> list[Any]:
         events, self.events = self.events, []
         return events
 
@@ -252,14 +256,12 @@ def serve(hosted: Hosted, message: tuple) -> tuple[str, Any, list]:
 class InProcessHost:
     """A host in the router's own process, with :class:`WorkerHandle`'s
     surface: every message is one direct :func:`serve` call (no pickling).
-    Its engines forward their events synchronously onto *bus*, so replies
-    carry none.  It never dies, and :meth:`close` leaves the engines
-    readable."""
+    Each engine's bus joins *bus* as the engine goes live, so its events
+    reach the router's subscribers in one ``publish`` and replies carry
+    none.  It never dies, and :meth:`close` leaves the engines readable."""
 
     def __init__(self, specs: dict[int, EngineSpec], bus: EventBus) -> None:
-        self.hosted = Hosted(
-            specs, lambda shard, engine: engine.bus.forward_to(bus, shard=shard)
-        )
+        self.hosted = Hosted(specs, lambda engine: engine.bus.join(bus))
         self.alive = True
         self._reply: tuple | None = None
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.apf.families import TSharp
+from repro.errors import ConfigurationError
 from repro.webcompute.engine import WBCServer
 from repro.webcompute.events import (
     EventBus,
@@ -54,25 +57,25 @@ class TestEventBus:
         bus.set_clock(lambda: 42)
         assert bus.now() == 42
 
-    def test_forward_to_stamps_shard(self):
-        local = EventBus()
+    def test_join_shares_the_target_subscribers(self):
+        local = EventBus(shard=3)
         global_bus = EventBus()
-        log = EventLog.attach(global_bus)
-        local.forward_to(global_bus, shard=3)
-        local.publish(VolunteerBanned(tick=1, volunteer_id=5, strikes=2))
-        assert len(log) == 1
-        forwarded = log.events[0]
-        assert forwarded.shard == 3
-        assert forwarded.volunteer_id == 5
-        # The original event is immutable; forwarding made a stamped copy.
+        early = EventLog.attach(global_bus)
+        local.join(global_bus)
+        late = EventLog.attach(global_bus)
+        event = VolunteerBanned(tick=1, volunteer_id=5, strikes=2, shard=local.shard)
+        local.publish(event)
+        # One publish reached subscribers made before and after the join,
+        # and delivered the event itself, shard already stamped.
+        assert early.events == [event] and late.events == [event]
+        assert early.events[0] is event and event.shard == 3
+        assert local.subscriber_count == global_bus.subscriber_count == 2
 
-    def test_forward_to_preserves_existing_shard(self):
+    def test_join_refuses_a_bus_with_subscribers(self):
         local = EventBus()
-        global_bus = EventBus()
-        log = EventLog.attach(global_bus)
-        local.forward_to(global_bus, shard=3)
-        local.publish(VolunteerBanned(tick=1, volunteer_id=5, strikes=2, shard=9))
-        assert log.events[0].shard == 9
+        local.subscribe(lambda e: None)
+        with pytest.raises(ConfigurationError):
+            local.join(EventBus())
 
 
 class TestEventCounters:

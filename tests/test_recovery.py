@@ -29,7 +29,13 @@ from repro.errors import (
     ShardDownError,
 )
 from repro.webcompute.engine import AllocationEngine
-from repro.webcompute.recovery import Backoff, CheckpointStore, apply_op, replay
+from repro.webcompute.recovery import (
+    JOURNAL_BATCH,
+    Backoff,
+    CheckpointStore,
+    apply_op,
+    replay,
+)
 from repro.webcompute.sharding import ShardedWBCServer
 from repro.webcompute.simulation import SimulationConfig, WBCSimulation
 from repro.webcompute.volunteer import VolunteerProfile
@@ -227,6 +233,53 @@ class TestCheckpointStore:
         assert cp.state["profiles"] == {}
         # And two reads never share structure.
         assert store.latest().state is not cp.state
+
+    def test_unserializable_op_fails_at_its_batch(self):
+        store = CheckpointStore()
+        store.checkpoint(AllocationEngine(TSharp(), seed=1))
+        with pytest.raises(TypeError):  # no later than the batch's last op
+            store.journal(("submit", 1, 2, object()))
+            for _ in range(JOURNAL_BATCH - 1):
+                store.journal(("tick",))
+
+    @pytest.mark.parametrize("cut", ["full", "delta"])
+    def test_unserializable_op_fails_the_next_cut(self, cut):
+        engine = AllocationEngine(TSharp(), seed=1)
+        store = CheckpointStore()
+        store.checkpoint(engine)
+        store.journal(("tick",))
+        store.journal(("corrupt", 1, {0.5}))
+        engine.tick()
+        with pytest.raises(TypeError):
+            if cut == "full":
+                store.checkpoint(engine)
+            else:
+                store.checkpoint_delta(engine.snapshot_delta(store.since_tick))
+        # The failed cut stored nothing and truncated nothing.
+        assert store.segment_count == 0
+        assert store.checkpoint_tick == 0
+        assert store.pending_ops == 2
+
+    def test_ops_are_fresh_lists_sharing_nothing_with_the_journal(self):
+        store = CheckpointStore()
+        profile = VolunteerProfile("a").to_state()
+        journaled = [("register", [profile], [7])]
+        journaled += [("request", 7)] * JOURNAL_BATCH  # fills one batch
+        journaled.append(("submits", [(7, 11, 0)]))  # stays pending
+        for op in journaled:
+            store.journal(op)
+        assert store.pending_ops == len(journaled)
+        first = store.ops()
+        assert first == [json.loads(json.dumps(op)) for op in journaled]
+        assert all(type(op) is list for op in first)
+        first[0][1][0]["name"] = "mallory"
+        first[0][2].append(8)
+        first[-1][1][0][2] = 99
+        first[-1].append("extra")
+        second = store.ops()
+        assert second[0] == ["register", [VolunteerProfile("a").to_state()], [7]]
+        assert second[-1] == ["submits", [[7, 11, 0]]]
+        assert profile["name"] == "a"
 
     def test_unknown_journal_op_raises(self):
         engine = AllocationEngine(TSharp(), seed=1)

@@ -8,6 +8,8 @@ so it round-trips at *any* magnitude, including global indices far beyond
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import hypothesis.strategies as st
@@ -16,7 +18,14 @@ from hypothesis import given, settings
 from repro.apf.families import TSharp, TStar
 from repro.core.squareshell import SquareShellPairing
 from repro.errors import AllocationError, ConfigurationError, ShardDownError
-from repro.webcompute.events import EventCounters, TaskIssued, VolunteerRegistered
+from repro.webcompute.events import (
+    EventBus,
+    EventCounters,
+    EventLog,
+    TaskIssued,
+    VolunteerRegistered,
+)
+from repro.webcompute.recovery import JOURNAL_BATCH
 from repro.webcompute.sharding import ShardedWBCServer
 from repro.webcompute.volunteer import VolunteerProfile
 
@@ -127,27 +136,32 @@ class TestGlobalIndexSpace:
             assert engine.apf.pair(path.row, path.serial) == path.local_index
             assert server.composer.pair(path.shard + 1, path.local_index) == task.index
 
-    def test_cross_shard_forged_submission_rejected(self):
-        server = make_server(shards=2)
-        a, b = server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
-        assert server.shard_of(a) != server.shard_of(b)
-        task_a = server.request_task(a)
-        with pytest.raises(AllocationError):
-            server.submit_result(b, task_a.index, task_a.expected_result)
-        # The honest owner can still submit.
-        server.submit_result(a, task_a.index, task_a.expected_result)
-
-    def test_index_outside_any_shard_rejected(self):
-        server = make_server(shards=2)
-        server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
-        # Shard row 5 of the composer exists geometrically, but only
-        # shards 0..1 are configured.
-        orphan = server.composer.pair(5, 1)
-        with pytest.raises(AllocationError):
-            server.attribute(orphan)
-        for bad in (0, -3, True, "7"):
+    # The router decodes each index once and hands the shard engine the
+    # local index; a worker engine decodes again.  Both must keep the
+    # forgery checks.
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers"])
+    def test_cross_shard_forged_submission_rejected(self, workers):
+        with make_server(shards=2, workers=workers) as server:
+            a, b = server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
+            assert server.shard_of(a) != server.shard_of(b)
+            task_a = server.request_task(a)
             with pytest.raises(AllocationError):
-                server.attribute(bad)
+                server.submit_result(b, task_a.index, task_a.expected_result)
+            # The honest owner can still submit.
+            server.submit_result(a, task_a.index, task_a.expected_result)
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers"])
+    def test_index_outside_any_shard_rejected(self, workers):
+        with make_server(shards=2, workers=workers) as server:
+            server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
+            # Shard row 5 of the composer exists geometrically, but only
+            # shards 0..1 are configured.
+            orphan = server.composer.pair(5, 1)
+            with pytest.raises(AllocationError):
+                server.attribute(orphan)
+            for bad in (0, -3, True, "7"):
+                with pytest.raises(AllocationError):
+                    server.attribute(bad)
 
 
 class TestEventAggregation:
@@ -162,6 +176,77 @@ class TestEventAggregation:
         assert counters.count(VolunteerRegistered) == 6
         assert counters.count(TaskIssued) == 6
         assert shards_seen == {0, 1, 2}
+
+
+class TestRouterTax:
+    """What the router adds to each task, pinned by call counts (timings
+    are too noisy to gate on): one composer ``unpair`` per global index
+    it is handed, one ``publish`` per delivered event, and one
+    ``json.dumps`` per :data:`~repro.webcompute.recovery.JOURNAL_BATCH`
+    journaled ops."""
+
+    SHARDS = 4
+    ROUNDS = 50  # 3 volunteers a shard: 7 ops a round, 351 per journal
+
+    def _server(self) -> tuple[ShardedWBCServer, list[int]]:
+        server = ShardedWBCServer(TSharp(), shards=self.SHARDS, seed=7)
+        ids = server.register_round(
+            [VolunteerProfile(f"v{i}") for i in range(3 * self.SHARDS)]
+        )
+        return server, ids
+
+    def _drive(self, server: ShardedWBCServer, ids: list[int]) -> int:
+        """The request -> attribute -> submit loop; returns tasks done."""
+        completed = 0
+        for _ in range(self.ROUNDS):
+            server.tick()
+            for vid in ids:
+                task = server.request_task(vid)
+                assert server.attribute(task.index) == vid
+                server.submit_result(vid, task.index, task.expected_result)
+                completed += 1
+        return completed
+
+    def test_two_composer_unpairs_per_task(self, monkeypatch):
+        server, ids = self._server()
+        calls = []
+        unpair = server.composer.unpair
+        monkeypatch.setattr(
+            server.composer, "unpair", lambda z: calls.append(z) or unpair(z)
+        )
+        completed = self._drive(server, ids)
+        assert len(calls) == 2 * completed
+
+    def test_one_publish_per_delivered_event(self, monkeypatch):
+        server, ids = self._server()
+        delivered = EventLog.attach(server.bus)
+        calls = []
+        publish = EventBus.publish
+        monkeypatch.setattr(
+            EventBus, "publish", lambda bus, e: calls.append(e) or publish(bus, e)
+        )
+        self._drive(server, ids)
+        server.checkpoint_all()  # router-built events count too
+        assert len(delivered) > 0
+        assert len(calls) == len(delivered)
+
+    def test_one_dumps_per_journal_batch_plus_one_per_cut(self, monkeypatch):
+        server, ids = self._server()
+        batches = []
+        dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, (list, tuple)):  # ops, not a checkpoint's state
+                batches.append(len(obj))
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        self._drive(server, ids)
+        journaled = [store.pending_ops for store in server._stores]
+        assert min(journaled) > JOURNAL_BATCH
+        assert len(batches) <= sum(n // JOURNAL_BATCH for n in journaled)
+        server.checkpoint_all()
+        assert len(batches) <= sum(n // JOURNAL_BATCH + 1 for n in journaled)
 
 
 class TestAggregateViews:

@@ -96,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "0 = never compact)")
     wbc.add_argument("--codec", default=None,
                      help="index codec composing (shard, local) into the "
-                          "global task index (square-shell, szudzik, "
-                          "rosenberg-strong, binprop-B, ...); implies the "
-                          "sharded server")
+                          "global task index (default: congruence; or "
+                          "square-shell, szudzik, rosenberg-strong, "
+                          "binprop-B, ...); implies the sharded server")
     wbc.add_argument("--workers", type=int, default=None,
                      help="run shards in N worker processes "
                           "(default: in-process, serial)")

@@ -5,8 +5,7 @@ row contracts) + front end (seating, recycling, epochs) + ledger
 (sampled verification, strikes, bans), behind a narrow public interface.
 :class:`WBCServer` is one engine run as the whole service;
 :class:`~repro.webcompute.sharding.ShardedWBCServer` runs several engines
-side by side and composes their index spaces with a named pairing
-function.
+side by side and composes their index spaces with a named codec.
 
 Two seams make the engine shard-able:
 
@@ -17,7 +16,9 @@ Two seams make the engine shard-able:
   engine the local index.  The identity codec (the default) is the
   single-server behavior; a shard's codec is
   ``encode = pair(shard_no, .)`` / ``decode = unpair`` with the sharded
-  server's composer, so the *ledger itself* records the
+  server's composer (by default the ``congruence`` codec,
+  ``S*(local - 1) + shard_no``, which is the identity at one shard; see
+  :mod:`~repro.webcompute.codecs`), so the *ledger itself* records the
   globally-attributable indices and ground-truth verification stays
   consistent with what volunteers compute.
 * **Event bus** -- every state transition publishes a typed event

@@ -4,24 +4,21 @@ pairing functions.
 A single :class:`~repro.webcompute.engine.AllocationEngine` is a
 synchronous core; to scale out, :class:`ShardedWBCServer` runs ``S``
 independent engine shards and keeps one *global, attributable* task-index
-space by composing the mapping layers exactly the way the paper composes
-arrays: the pair ``(shard_no, local_index)`` is itself paired into one
-integer, by default with the Rosenberg--Strong square-shell PF
-(:class:`~repro.core.squareshell.SquareShellPairing`, the ``A_{1,1}`` of
-Section 3.2.1; Szudzik 2019 studies the same function as "the
-Rosenberg-Strong pairing function").  Global attribution is the composition
-of inverses: ``unpair`` recovers ``(shard_no, local_index)``, then the
-shard's APF inverse plus its epoch table recovers ``(row, serial)`` and the
-volunteer -- exact at any magnitude, because every step is integer-exact
-bignum arithmetic.
-
-Shell-based composition keeps the global space *dense in the shard
-dimension*: with ``S`` shards the square-shell walk never charges more
-than ``max(S, local)**2`` addresses.  The composer is chosen by *name*
-through the :mod:`~repro.webcompute.codecs` registry; for workloads where
-the local index dominates (the common case: few shards, many tasks) the
-``binprop-B`` codecs, Szudzik's binary proportional PFs (2018), win most
-of the lost density back.
+space by composing the mapping layers the way the paper composes arrays:
+the pair ``(shard_no, local_index)`` is itself folded into one integer by
+a composer, a bijection ``[S] x N <-> N`` named through the
+:mod:`~repro.webcompute.codecs` registry.  The default is the
+``congruence`` codec, Section 3.2.2's dovetailing with the shard count
+fixed: shard ``k`` owns the class ``k - 1 mod S``, so the global index is
+``S*(local - 1) + shard_no``, one ``divmod`` decodes it, and every
+positive integer names a real shard.  The paper's own square-shell
+composition (:class:`~repro.core.squareshell.SquareShellPairing`, the
+``A_{1,1}`` of Section 3.2.1) and the other shell-walking PFs stay
+selectable by name.  Global attribution is the composition of inverses:
+``unpair`` recovers ``(shard_no, local_index)``, then the shard's APF
+inverse plus its epoch table recovers ``(row, serial)`` and the volunteer
+-- exact at any magnitude, because every step is integer-exact bignum
+arithmetic.
 
 Routing is fixed round-robin: registration ``k`` goes to the ``k mod n``-th
 of the ``n`` shards that can take it, so a seeded run is exactly
@@ -429,8 +426,9 @@ class ShardedWBCServer:
         The *name* of the registered index codec composing
         ``(shard_no, local_index)`` into the global index (see
         :mod:`~repro.webcompute.codecs`); ``None`` means
-        :data:`~repro.webcompute.codecs.DEFAULT_CODEC`, the
-        Rosenberg--Strong square shell.
+        :data:`~repro.webcompute.codecs.DEFAULT_CODEC`, the one-``divmod``
+        ``congruence`` codec.  ``"square-shell"`` selects the paper's
+        Rosenberg--Strong composition.
     lease_ticks:
         Task-lease length passed to every shard engine (``None`` = no
         leases).
@@ -464,8 +462,7 @@ class ShardedWBCServer:
         compact_every: int | None = 8,
         workers: int | None = None,
     ) -> None:
-        if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-            raise ConfigurationError(f"shards must be a positive int, got {shards!r}")
+        self.composer = composer_for(codec if codec is not None else DEFAULT_CODEC, shards)
         if checkpoint_every is not None and (
             isinstance(checkpoint_every, bool)
             or not isinstance(checkpoint_every, int)
@@ -481,7 +478,6 @@ class ShardedWBCServer:
             raise ConfigurationError(
                 f"workers must be a positive int or None, got {workers!r}"
             )
-        self.composer = composer_for(codec if codec is not None else DEFAULT_CODEC)
         self.checkpoint_every = checkpoint_every
         self.compact_every = compact_every
         self.lease_ticks = lease_ticks
@@ -1105,17 +1101,11 @@ class ShardedWBCServer:
         return profile
 
     def _engine_for_index(self, global_index: int) -> tuple[int, int, AllocationEngine]:
-        """(shard, local_index, engine) for a global task index."""
-        if isinstance(global_index, bool) or not isinstance(global_index, int) or global_index <= 0:
-            raise AllocationError(
-                f"task index must be a positive int, got {global_index!r}"
-            )
+        """(shard, local_index, engine) for a global task index.  The
+        composer's ``unpair`` is the one check of the index: it raises
+        :class:`~repro.errors.AllocationError` for anything that names no
+        shard."""
         shard_no, local = self.composer.unpair(global_index)
-        if not 1 <= shard_no <= len(self.engines):
-            raise AllocationError(
-                f"task {global_index} decodes to shard {shard_no - 1}, "
-                f"but only shards 0..{len(self.engines) - 1} exist"
-            )
         shard = shard_no - 1
         if not self._alive[shard]:
             raise ShardDownError(

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.apf.base import AdditivePairingFunction
-from repro.core.base import PairingFunction
 from repro.errors import AllocationError, RecoveryError, ShardDownError
+from repro.webcompute.codecs import Composer
 from repro.webcompute.engine import AllocationEngine, IndexCodec
 from repro.webcompute.events import EventBus
 from repro.webcompute.recovery import apply_op, replay
@@ -76,11 +76,14 @@ class WorkerDiedError(ShardDownError):
     the hosted shards and the caller retries after ``restore_shard``."""
 
 
-def shard_codec(composer: PairingFunction, shard: int) -> IndexCodec:
+def shard_codec(composer: Composer, shard: int) -> IndexCodec:
     """Shard *shard*'s slice of the global index space: row ``shard + 1``
     of *composer* (1-indexed, like everything in the paper).  Built from
     plain values so a host in any process constructs the identical
-    bijection."""
+    bijection.  ``composer.pair`` and ``composer.unpair`` are looked up
+    on each call, never bound ahead: a wrapper installed on the
+    composer's class later (a tracer, a test's counter) still sees every
+    encode and decode."""
     shard_no = shard + 1
 
     def encode(local: int) -> int:
@@ -105,7 +108,7 @@ class EngineSpec:
     from ``build()``, in either host."""
 
     apf: AdditivePairingFunction
-    composer: PairingFunction
+    composer: Composer
     shard: int
     verification_rate: float
     ban_after_strikes: int

@@ -90,7 +90,7 @@ class SimulationConfig:
     compact_every: int | None = 8  # full rebase after this many deltas
     faults: str = ""  # FaultSpec grammar (see repro.webcompute.faults)
     workers: int | None = None  # worker processes (None = in-process)
-    codec: str | None = None  # index codec name (None = square-shell)
+    codec: str | None = None  # index codec name (None = congruence)
 
     def __post_init__(self) -> None:
         if self.ticks <= 0 or self.initial_volunteers <= 0:
@@ -112,7 +112,7 @@ class SimulationConfig:
         if self.codec is not None:
             from repro.webcompute.codecs import composer_for
 
-            composer_for(self.codec)  # fail fast on an unknown codec name
+            composer_for(self.codec, self.shards)  # fail fast on an unknown codec name
         spec = FaultSpec.parse(self.faults)  # fail fast on a bad grammar
         for fault in spec.scheduled:
             if fault.kind in ("crash", "restore"):

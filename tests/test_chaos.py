@@ -161,7 +161,7 @@ TestChaosServerMachine = ChaosServerMachine.TestCase
 def _codec_chaos_case(codec_name: str):
     """The full chaos vocabulary -- crash, blocking and streaming restore,
     lease reaping, reissue-target returns -- on a server whose global
-    indices are minted by *codec_name* instead of the default square-shell
+    indices are minted by *codec_name* instead of the default congruence
     composer.  The inherited ``attribution_exact`` invariant re-checks
     after every step that ``attribute(index)`` names the ORIGINAL assignee
     for every index ever issued, so a codec whose inverse drifts from its
@@ -189,6 +189,7 @@ def _codec_chaos_case(codec_name: str):
     return _CodecChaosMachine.TestCase
 
 
+TestSquareShellCodecChaos = _codec_chaos_case("square-shell")
 TestSzudzikCodecChaos = _codec_chaos_case("szudzik")
 TestRosenbergStrongCodecChaos = _codec_chaos_case("rosenberg-strong")
 TestBinprop16CodecChaos = _codec_chaos_case("binprop-16")

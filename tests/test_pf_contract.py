@@ -29,8 +29,14 @@ Five invariant layers:
 5. **Codec-swap differentials** -- a 16-shard simulation completes the
    *identical* ``SimulationOutcome`` under every registered index codec
    (only the minted ``max_task_index`` may move), binprop-16 mints no
-   wider indices than square-shell, and direct server attribution never
-   misnames a volunteer under any codec.
+   wider indices than square-shell, congruence no wider than binprop-16
+   and at most ``ceil(log2 S)`` bits above the widest local index, and
+   direct server attribution never misnames a volunteer under any codec.
+6. **Bounded-row codecs** -- every index codec is a bijection
+   ``[S] x N <-> N`` for the shard count ``S`` it was built with:
+   round trips both ways past 2**64, congruence is total (every index
+   names a row in ``1..S``) and the identity at ``S = 1``, and a
+   pairing-function codec refuses a row past ``S``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ from repro.core.base import (
 from repro.core.registry import available_names, get_pairing
 from repro.core.rosenbergstrong import RosenbergStrongPairing
 from repro.core.squareshell import SquareShellPairingTwin
-from repro.webcompute.codecs import available_codecs
+from repro.errors import AllocationError, ConfigurationError, DomainError
+from repro.webcompute.codecs import available_codecs, composer_for
 from repro.webcompute.sharding import ShardedWBCServer
 from repro.webcompute.simulation import SimulationConfig, WBCSimulation
 from repro.webcompute.volunteer import VolunteerProfile
@@ -410,6 +417,35 @@ class TestCodecSwapDifferential:
         }
         assert bits["binprop-16"] <= bits["square-shell"], bits
 
+    def test_congruence_no_wider_than_binprop_16(self):
+        """With the shard count fixed, the congruence codec spends only
+        ``ceil(log2 16) = 4`` bits above the local index, so it can mint
+        no wider indices than any PF composer."""
+        config = SimulationConfig(
+            ticks=160,
+            initial_volunteers=40,
+            seed=2002,
+            shards=16,
+            codec="congruence",
+            departure_rate=0.01,
+        )
+        sim = WBCSimulation(TSharp(), config)
+        try:
+            bits = sim.run().max_task_index.bit_length()
+            server = sim.server
+            widest_local = max(
+                server.composer.unpair(engine.max_task_index)[1]
+                for engine in server.engines
+                if engine.max_task_index
+            )
+        finally:
+            sim.close()
+        binprop = self._run(
+            "binprop-16", 2002, ticks=160, volunteers=40, departure_rate=0.01
+        ).max_task_index.bit_length()
+        assert bits <= binprop, (bits, binprop)
+        assert bits <= widest_local.bit_length() + 4, (bits, widest_local)
+
     @pytest.mark.parametrize("codec", available_codecs())
     def test_attribution_never_misnames_a_volunteer(self, codec):
         """The direct inverse-chain check: every issued global index
@@ -433,3 +469,63 @@ class TestCodecSwapDifferential:
             assert server.attribute(index) == vid, (
                 f"codec {codec}: index {index} misattributed"
             )
+
+
+# ----------------------------------------------------------------------
+# 6. Bounded-row codecs: bijections [S] x N <-> N
+# ----------------------------------------------------------------------
+
+#: Indices and local indices past the float mantissa and the int64 range.
+BIG = (2**53 - 1, 2**53 + 1, 2**64 - 1, 2**64 + 1, 2**100)
+
+
+@pytest.mark.parametrize("shards", (1, 2, 4, 16))
+@pytest.mark.parametrize("codec", available_codecs())
+class TestBoundedRowCodecs:
+    def test_pair_then_unpair_on_every_row(self, codec, shards):
+        composer = composer_for(codec, shards)
+        for shard_no in range(1, shards + 1):
+            for local in (*range(1, 33), *BIG):
+                assert composer.unpair(composer.pair(shard_no, local)) == (shard_no, local)
+
+    def test_unpair_then_pair_past_2_64(self, codec, shards):
+        composer = composer_for(codec, shards)
+        for index in (*range(1, 257), *BIG):
+            try:
+                shard_no, local = composer.unpair(index)
+            except AllocationError:
+                # Only a PF codec refuses, and only a row past S.
+                assert codec != "congruence"
+                assert composer.pf.unpair(index)[0] > shards
+                continue
+            assert 1 <= shard_no <= shards
+            assert composer.pair(shard_no, local) == index
+
+    def test_row_past_s_or_a_bad_index_is_refused(self, codec, shards):
+        composer = composer_for(codec, shards)
+        if codec == "congruence":
+            # Total: nothing decodes past S, and S + 1 has no address.
+            with pytest.raises(DomainError):
+                composer.pair(shards + 1, 1)
+        else:
+            for local in (1, 7, *BIG):
+                with pytest.raises(AllocationError):
+                    composer.unpair(composer.pf.pair(shards + 1, local))
+        for bad in (0, -3, True, 2.0, "7"):
+            with pytest.raises(AllocationError):
+                composer.unpair(bad)
+
+
+def test_congruence_at_one_shard_is_the_identity():
+    composer = composer_for("congruence", 1)
+    for index in (*range(1, 257), *BIG):
+        assert composer.pair(1, index) == index
+        assert composer.unpair(index) == (1, index)
+
+
+def test_codec_needs_a_positive_shard_count():
+    for bad in (0, -1, True, 1.5, "2"):
+        with pytest.raises(ConfigurationError):
+            composer_for("congruence", bad)
+    with pytest.raises(ConfigurationError):
+        composer_for("hyperbolic", 4)  # registered, but not a composer

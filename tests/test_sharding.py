@@ -17,7 +17,8 @@ from hypothesis import given, settings
 
 from repro.apf.families import TSharp, TStar
 from repro.core.squareshell import SquareShellPairing
-from repro.errors import AllocationError, ConfigurationError, ShardDownError
+from repro.errors import AllocationError, ConfigurationError, ReproError, ShardDownError
+from repro.webcompute.codecs import DEFAULT_CODEC
 from repro.webcompute.events import (
     EventBus,
     EventCounters,
@@ -46,8 +47,10 @@ class TestConstruction:
         task = server.request_task(vid)
         assert server.attribute(task.index) == vid
 
-    def test_default_composer_is_square_shell(self):
-        assert make_server().composer.name == SquareShellPairing().name
+    def test_default_composer_is_congruence(self):
+        assert make_server().composer.name == DEFAULT_CODEC == "congruence"
+        square = make_server(codec="square-shell")
+        assert square.composer.name == SquareShellPairing().name
 
 
 class TestRouting:
@@ -152,13 +155,31 @@ class TestGlobalIndexSpace:
 
     @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers"])
     def test_index_outside_any_shard_rejected(self, workers):
-        with make_server(shards=2, workers=workers) as server:
+        with make_server(shards=2, workers=workers, codec="square-shell") as server:
             server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
             # Shard row 5 of the composer exists geometrically, but only
             # shards 0..1 are configured.
             orphan = server.composer.pair(5, 1)
             with pytest.raises(AllocationError):
                 server.attribute(orphan)
+            for bad in (0, -3, True, "7"):
+                with pytest.raises(AllocationError):
+                    server.attribute(bad)
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers"])
+    def test_congruence_routes_every_index_to_a_real_shard(self, workers):
+        """The default codec is total: every positive index names one of
+        the shards, so an index never issued gets past the router and is
+        refused by the shard it names."""
+        with make_server(shards=2, workers=workers) as server:
+            ids = server.register_round([VolunteerProfile("a"), VolunteerProfile("b")])
+            issued = {server.request_task(vid).index for vid in ids}
+            for index in [*range(1, 65), 2**53 + 1, 2**64 + 1]:
+                shard_no, _local = server.composer.unpair(index)
+                assert 1 <= shard_no <= server.shard_count
+                if index not in issued:
+                    with pytest.raises(ReproError):
+                        server.task(index)
             for bad in (0, -3, True, "7"):
                 with pytest.raises(AllocationError):
                     server.attribute(bad)
@@ -206,6 +227,23 @@ class TestRouterTax:
                 server.submit_result(vid, task.index, task.expected_result)
                 completed += 1
         return completed
+
+    def test_one_composer_pair_per_task(self, monkeypatch):
+        """Counted on the composer's *class*, where a tracer wraps it: a
+        shard codec that bound ``pair`` ahead of time, or inlined its
+        arithmetic, would hide the encode from that wrapper."""
+        server, ids = self._server()
+        assert server.codec_name == DEFAULT_CODEC
+        calls = []
+        pair = type(server.composer).pair
+        monkeypatch.setattr(
+            type(server.composer),
+            "pair",
+            lambda composer, x, y: calls.append((x, y)) or pair(composer, x, y),
+        )
+        completed = self._drive(server, ids)
+        assert completed == 600
+        assert len(calls) == completed
 
     def test_two_composer_unpairs_per_task(self, monkeypatch):
         server, ids = self._server()
